@@ -86,18 +86,6 @@ type CostSnapshot struct {
 	LatencyOptRecomp int     `json:"latency_opt_recomputed_rows"`
 }
 
-// TracerOverheadSnapshot re-runs the serving flood with an enabled tracer
-// and compares the sustained rate against the untraced run above it: the
-// cost of recording every request's lifecycle spans plus the per-unit
-// device timeline. The untraced serving section is the no-op baseline —
-// its instrumentation calls all hit the nil-tracer fast path.
-type TracerOverheadSnapshot struct {
-	NoopRPS     float64 `json:"noop_rps"`
-	TracedRPS   float64 `json:"traced_rps"`
-	OverheadPct float64 `json:"overhead_pct"`
-	TracedSpans uint64  `json:"traced_spans"`
-}
-
 // SampledTracingSnapshot is the always-on sampled-tracing overhead
 // point, measured the way always-on tracing actually operates: a paced
 // open loop at a tenth of the untraced saturation capacity — an
@@ -234,15 +222,14 @@ type SaturationSnapshot struct {
 	OverCommits int `json:"over_commits"`
 }
 
-// Snapshot is the full benchmark artifact. Serving and TracerOverhead are
-// nil in -quick mode (the smoke run skips the verification floods);
+// Snapshot is the full benchmark artifact. Serving is nil in -quick mode
+// (the smoke run skips the verification flood);
 // Saturation runs in both modes — the quick sweep is the CI smoke gate on
 // the over-commit invariant.
 type Snapshot struct {
 	Networks       []NetworkSnapshot       `json:"networks"`
 	Costs          []CostSnapshot          `json:"costs"`
 	Serving        *ServingSnapshot        `json:"serving,omitempty"`
-	TracerOverhead *TracerOverheadSnapshot `json:"tracer_overhead,omitempty"`
 	Saturation     *SaturationSnapshot     `json:"saturation,omitempty"`
 	SampledTracing *SampledTracingSnapshot `json:"sampled_tracing,omitempty"`
 }
@@ -252,17 +239,14 @@ const servingRequests = 32
 
 // measureServing floods a two-device fleet with the fixed mixed workload
 // (7:1 VWW:ImageNet over servingRequests submissions) and reports the
-// sustained service rate once every request has verified. tr is nil for
-// the untraced baseline (every instrumentation call takes the nil-tracer
-// fast path) or an enabled tracer for the overhead comparison.
-func measureServing(tr *obs.Tracer) (ServingSnapshot, error) {
+// sustained service rate once every request has verified.
+func measureServing() (ServingSnapshot, error) {
 	s, err := serve.NewServer(serve.Options{
 		Devices: []serve.DeviceConfig{
 			{Name: "m4", Profile: mcu.CortexM4(), Slots: 8},
 			{Name: "m7", Profile: mcu.CortexM7(), Slots: 8},
 		},
 		QueueCap: servingRequests,
-		Tracer:   tr,
 	})
 	if err != nil {
 		return ServingSnapshot{}, err
@@ -820,26 +804,12 @@ func main() {
 		snap.Costs = append(snap.Costs, c)
 	}
 	if !*quick {
-		sv, err := measureServing(nil)
+		sv, err := measureServing()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "vmcu-bench: serving: %v\n", err)
 			os.Exit(1)
 		}
 		snap.Serving = &sv
-
-		tr := obs.New(obs.Options{})
-		svTraced, err := measureServing(tr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vmcu-bench: traced serving: %v\n", err)
-			os.Exit(1)
-		}
-		ts := tr.Snapshot()
-		snap.TracerOverhead = &TracerOverheadSnapshot{
-			NoopRPS:     sv.SustainedRPS,
-			TracedRPS:   svTraced.SustainedRPS,
-			OverheadPct: 100 * (1 - svTraced.SustainedRPS/sv.SustainedRPS),
-			TracedSpans: ts.TotalSpans,
-		}
 	}
 	sat, err := measureSaturation(*quick)
 	if err != nil {

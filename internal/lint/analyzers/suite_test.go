@@ -19,9 +19,9 @@ func TestSuiteSmoke(t *testing.T) {
 
 // TestRepoIsLintClean is the in-tree mirror of the CI gate
 // `go run ./cmd/vmcu-lint ./...`: the entire repository must produce
-// zero findings. Re-introducing any guarded violation — an unguarded
-// metricsState write, a time.Now in internal/mcu, a netplan.Options
-// field missing from the cache key — fails this test.
+// zero findings. Re-introducing any guarded violation — a write to a
+// mutex-guarded field without its lock, a time.Now in internal/mcu, a
+// netplan.Options field missing from the cache key — fails this test.
 func TestRepoIsLintClean(t *testing.T) {
 	root := linttest.ModuleRoot(t)
 	findings, err := lint.Run(root, nil, analyzers.All())

@@ -36,9 +36,9 @@ type Cache struct {
 	misses    uint64                 // guarded by Cache.mu
 	coalesced uint64                 // guarded by Cache.mu
 	evictions uint64                 // guarded by Cache.mu
-	// Tracer counter handles, mirroring the lifetime counters above onto
-	// an attached obs.Tracer (all nil until SetTracer; nil-safe to Inc);
-	// guarded by Cache.mu.
+	// Counter handles mirroring the lifetime counters above onto an
+	// attached obs.Tracer's registry (all nil until SetTracer; nil-safe to
+	// Inc); guarded by Cache.mu.
 	trHits, trMisses, trCoalesced, trEvictions *obs.Counter
 }
 
@@ -77,7 +77,8 @@ func NewCacheWithCap(capEntries int) *Cache {
 // Default is the package-level cache used by the public vmcu API.
 var Default = NewCache()
 
-// Tracer counter names published by an attached cache.
+// Counter families (no label keys) an attached cache publishes on the
+// tracer's registry.
 const (
 	MetricCacheHits      = "vmcu_plancache_hits"
 	MetricCacheMisses    = "vmcu_plancache_misses"
@@ -96,10 +97,11 @@ func (c *Cache) SetTracer(tr *obs.Tracer) {
 		c.trHits, c.trMisses, c.trCoalesced, c.trEvictions = nil, nil, nil, nil
 		return
 	}
-	c.trHits = tr.Counter(MetricCacheHits)
-	c.trMisses = tr.Counter(MetricCacheMisses)
-	c.trCoalesced = tr.Counter(MetricCacheCoalesced)
-	c.trEvictions = tr.Counter(MetricCacheEvictions)
+	reg := tr.Registry()
+	c.trHits = reg.CounterVec(MetricCacheHits, "Plan-cache lookups served by an existing entry.").With()
+	c.trMisses = reg.CounterVec(MetricCacheMisses, "Plan-cache lookups that ran a solve.").With()
+	c.trCoalesced = reg.CounterVec(MetricCacheCoalesced, "Plan-cache hits that waited on an in-flight solve.").With()
+	c.trEvictions = reg.CounterVec(MetricCacheEvictions, "Plan-cache entries evicted by the LRU bound.").With()
 }
 
 // Key builds the deterministic cache key for a network/options pair. Every
@@ -145,23 +147,19 @@ func (c *Cache) Plan(net graph.Network, opts Options) (*NetworkPlan, bool, error
 	if e, ok := c.entries[key]; ok {
 		// A lookup that lands on a NOT-yet-ready entry is a coalesced
 		// miss: without the per-key single-flight it would have run its
-		// own solve (the model-rollout stampede). Probe readiness before
-		// waiting — afterwards the distinction is gone.
-		coalesced := false
+		// own solve (the model-rollout stampede). It is counted on
+		// arrival, while the cache can still see the solve in flight.
 		select {
 		case <-e.ready:
 		default:
-			coalesced = true
+			c.coalesced++
+			c.trCoalesced.Inc()
 		}
 		c.mu.Unlock()
 		<-e.ready
 		c.mu.Lock()
 		c.hits++
 		c.trHits.Inc()
-		if coalesced {
-			c.coalesced++
-			c.trCoalesced.Inc()
-		}
 		// Refresh recency, unless the entry was evicted or Reset away while
 		// we waited (its plan is still valid for this caller either way).
 		if e.elem != nil && c.entries[key] == e {
@@ -226,11 +224,13 @@ type CacheStats struct {
 	// possibly failed) entry; Misses are requests that ran a solve,
 	// successful or not.
 	Hits, Misses uint64
-	// CoalescedMisses are the subset of Hits that arrived while the
-	// entry's solve was still in flight and waited on it instead of
-	// solving themselves — the stampede the per-key single-flight
-	// absorbs (a model rollout's concurrent cold lookups show up here
-	// as N-1 coalesced misses per key).
+	// CoalescedMisses are the lookups that arrived while the entry's
+	// solve was still in flight and waited on it instead of solving
+	// themselves — the stampede the per-key single-flight absorbs (a
+	// model rollout's concurrent cold lookups show up here as N-1
+	// coalesced misses per key). Each is counted on arrival and becomes a
+	// Hit once the solve completes, so at quiescence they are a subset of
+	// Hits.
 	CoalescedMisses uint64
 	// Evictions counts completed plans dropped by the LRU bound (always 0
 	// on an unbounded cache).

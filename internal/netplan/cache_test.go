@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/vmcu-project/vmcu/internal/graph"
 	"github.com/vmcu-project/vmcu/internal/mcu"
@@ -112,14 +113,14 @@ func TestCacheBoundedConcurrent(t *testing.T) {
 // goroutines request the SAME cold key concurrently. The per-key
 // single-flight must run the solve exactly once, serve every other
 // request from the in-flight entry, and account those as coalesced
-// misses. The solve is blocked on a gate until all N requests are
-// inside Plan, so the concurrency is real, not racy luck.
+// misses. The solve is blocked on a gate until the cache itself has
+// counted the other N-1 requests waiting on it, so the concurrency is
+// real, not racy luck.
 func TestCacheStampedeCoalesces(t *testing.T) {
 	const stampede = 16
 	var (
-		solves  int32
-		arrived sync.WaitGroup
-		gate    = make(chan struct{})
+		solves int32
+		gate   = make(chan struct{})
 	)
 	realPlan := planFn
 	planFn = func(net graph.Network, opts Options) (*NetworkPlan, error) {
@@ -131,14 +132,12 @@ func TestCacheStampedeCoalesces(t *testing.T) {
 
 	c := NewCache()
 	net := tinyNet(8)
-	arrived.Add(stampede)
 	var done sync.WaitGroup
 	results := make([]bool, stampede)
 	for g := 0; g < stampede; g++ {
 		done.Add(1)
 		go func(g int) {
 			defer done.Done()
-			arrived.Done()
 			_, hit, err := c.Plan(net, Options{})
 			if err != nil {
 				t.Error(err)
@@ -146,9 +145,15 @@ func TestCacheStampedeCoalesces(t *testing.T) {
 			results[g] = hit
 		}(g)
 	}
-	// Release the solve only after every goroutine is running; the
-	// laggards pile onto the in-flight entry while it blocks.
-	arrived.Wait()
+	// Release the solve only after the cache has seen every other lookup
+	// land on the in-flight entry.
+	for start := time.Now(); c.Stats().CoalescedMisses < stampede-1; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			close(gate)
+			t.Fatalf("only %d of %d lookups coalesced onto the in-flight solve",
+				c.Stats().CoalescedMisses, stampede-1)
+		}
+	}
 	close(gate)
 	done.Wait()
 

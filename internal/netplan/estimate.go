@@ -19,8 +19,9 @@ import (
 	"github.com/vmcu-project/vmcu/internal/plan"
 )
 
-// Tracer counter names published by the Pareto enumeration: candidates
-// examined and candidates that solved feasibly (enumeration progress).
+// Counter families (no label keys) the Pareto enumeration publishes on
+// the tracer's registry: candidates examined and candidates that solved
+// feasibly (enumeration progress).
 const (
 	MetricParetoCandidates = "vmcu_pareto_candidates"
 	MetricParetoSolved     = "vmcu_pareto_solved"
@@ -155,7 +156,9 @@ func Pareto(profile mcu.Profile, net graph.Network, opts Options) ([]Variant, er
 	if err != nil {
 		return nil, err
 	}
-	tr.Counter(MetricParetoCandidates).Add(uint64(len(candidates)))
+	reg := tr.Registry()
+	reg.CounterVec(MetricParetoCandidates, "Pareto candidate schedules enumerated.").With().Add(uint64(len(candidates)))
+	solvedCount := reg.CounterVec(MetricParetoSolved, "Pareto candidates that solved feasibly.").With()
 	variants := make([]Variant, 0, len(candidates))
 	solved := 0
 	for _, c := range candidates {
@@ -166,7 +169,7 @@ func Pareto(profile mcu.Profile, net graph.Network, opts Options) ([]Variant, er
 			continue
 		}
 		solved++
-		tr.Counter(MetricParetoSolved).Inc()
+		solvedCount.Inc()
 		est, err := EstimatePlan(profile, net, np)
 		if err != nil {
 			return nil, err

@@ -1,12 +1,24 @@
 package netplan
 
 import (
+	"sort"
 	"testing"
 
 	"github.com/vmcu-project/vmcu/internal/graph"
 	"github.com/vmcu-project/vmcu/internal/mcu"
 	"github.com/vmcu-project/vmcu/internal/obs"
 )
+
+// counterValue reads the single series of a label-less counter family on
+// the tracer's registry (0 when the family was never created).
+func counterValue(tr *obs.Tracer, name string) uint64 {
+	for _, f := range tr.Snapshot().Families {
+		if f.Name == name && len(f.Series) == 1 {
+			return f.Series[0].Counter
+		}
+	}
+	return 0
+}
 
 // TestCacheTracerCountersAgree churns a bounded cache through LRU
 // evictions and proves the tracer's vmcu_plancache_* counters track
@@ -36,14 +48,13 @@ func TestCacheTracerCountersAgree(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatalf("churn produced no evictions: %+v", st)
 	}
-	snap := tr.Snapshot()
-	if got := snap.Counters[MetricCacheHits]; got != st.Hits {
+	if got := counterValue(tr, MetricCacheHits); got != st.Hits {
 		t.Errorf("tracer hits = %d, CacheStats.Hits = %d", got, st.Hits)
 	}
-	if got := snap.Counters[MetricCacheMisses]; got != st.Misses {
+	if got := counterValue(tr, MetricCacheMisses); got != st.Misses {
 		t.Errorf("tracer misses = %d, CacheStats.Misses = %d", got, st.Misses)
 	}
-	if got := snap.Counters[MetricCacheEvictions]; got != st.Evictions {
+	if got := counterValue(tr, MetricCacheEvictions); got != st.Evictions {
 		t.Errorf("tracer evictions = %d, CacheStats.Evictions = %d", got, st.Evictions)
 	}
 }
@@ -84,23 +95,23 @@ func TestPlannerSpans(t *testing.T) {
 	if _, err := Pareto(mcu.CortexM4(), net, Options{Tracer: tr}); err != nil {
 		t.Fatal(err)
 	}
-	snap = tr.Snapshot()
-	if snap.Counters[MetricParetoCandidates] == 0 {
+	candidates, solved := counterValue(tr, MetricParetoCandidates), counterValue(tr, MetricParetoSolved)
+	if candidates == 0 {
 		t.Error("Pareto enumerated no candidates on the tracer")
 	}
-	if snap.Counters[MetricParetoSolved] == 0 {
+	if solved == 0 {
 		t.Error("Pareto solved no candidates on the tracer")
 	}
-	if snap.Counters[MetricParetoSolved] > snap.Counters[MetricParetoCandidates] {
-		t.Errorf("solved %d > candidates %d", snap.Counters[MetricParetoSolved],
-			snap.Counters[MetricParetoCandidates])
+	if solved > candidates {
+		t.Errorf("solved %d > candidates %d", solved, candidates)
 	}
 }
 
 // TestRunTracedUnitSpans proves RunTraced records one KindUnit span per
 // executed unit under the given parent/trace IDs, carrying the unit's
 // device cycle counters and laying the simulated cycle axis out
-// cumulatively in network order.
+// cumulatively. Units run on a worker pool and the snapshot orders spans
+// by wall-clock end, so the cycle layout is checked in StartCycles order.
 func TestRunTracedUnitSpans(t *testing.T) {
 	tr := obs.New(obs.Options{})
 	net := graph.VWW()
@@ -121,6 +132,7 @@ func TestRunTracedUnitSpans(t *testing.T) {
 	if len(units) != wantUnits {
 		t.Fatalf("recorded %d unit spans, want %d", len(units), wantUnits)
 	}
+	sort.Slice(units, func(i, j int) bool { return units[i].StartCycles < units[j].StartCycles })
 	cursor := 0.0
 	for _, u := range units {
 		if u.Parent != parentID || u.Trace != traceID {

@@ -5,8 +5,9 @@ import "testing"
 // The no-op path is the one every instrumented hot path pays when tracing
 // is off; it must stay at "a nil check and a call" so threading the
 // tracer through serve/netplan permanently is free. The enabled path is
-// the opt-in cost. vmcu-bench's tracer section pins the end-to-end
-// serving overhead; these pin the per-operation costs.
+// the opt-in cost. The serving benchmark's admit-flood vs admit-flood-ops
+// workloads measure the end-to-end tracing tax; these pin the
+// per-operation costs.
 
 func BenchmarkSpanNoop(b *testing.B) {
 	var tr *Tracer
@@ -29,8 +30,8 @@ func BenchmarkSpanEnabled(b *testing.B) {
 }
 
 func BenchmarkCounterNoop(b *testing.B) {
-	var tr *Tracer
-	c := tr.Counter("n")
+	var r *Registry
+	c := r.CounterVec("n", "").With()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
@@ -38,8 +39,7 @@ func BenchmarkCounterNoop(b *testing.B) {
 }
 
 func BenchmarkCounterEnabled(b *testing.B) {
-	tr := New(Options{})
-	c := tr.Counter("n")
+	c := NewRegistry().CounterVec("n", "").With()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
@@ -47,8 +47,7 @@ func BenchmarkCounterEnabled(b *testing.B) {
 }
 
 func BenchmarkHistogramEnabled(b *testing.B) {
-	tr := New(Options{})
-	h := tr.Histogram("lat", []float64{1, 2, 5, 10, 20, 50, 100})
+	h := NewRegistry().HistogramVec("lat", "", []float64{1, 2, 5, 10, 20, 50, 100}, WindowOptions{}).With()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i % 128))

@@ -18,9 +18,10 @@ import (
 //     counter ("C") events, so the Figure-1 pool-occupancy curve renders
 //     as a chart. Every event's args carry span_id/parent_id/trace_id, so
 //     a consumer can rebuild the exact span forest the tracer saw.
-//   - Prometheus text exposition (WritePrometheus): counters, gauges, and
-//     histograms in the classic scrape format (histogram buckets are
-//     cumulative with the "le" label), deterministically ordered.
+//   - Prometheus text exposition (WritePrometheus): the metric families —
+//     counters, gauges, and histograms in the classic scrape format
+//     (histogram buckets are cumulative with the "le" label),
+//     deterministically ordered.
 
 // chromeEvent is one trace_event entry.
 type chromeEvent struct {
@@ -236,53 +237,19 @@ func writeHistogramExposition(b *strings.Builder, name string, keys, values []st
 	fmt.Fprintf(b, "%s_count%s %d\n", name, labelPairs(keys, values), h.Count)
 }
 
-// WritePrometheus writes the snapshot's metrics as a Prometheus-style
-// text exposition (deterministic order): first the unlabeled registries,
-// then the labeled families, each with HELP and TYPE lines. Windowed
-// families additionally expose their trailing-window view — for
-// histograms `<name>_window{quantile="0.5|0.9|0.99"}` live quantiles
-// plus `<name>_window_rps`, for gauges `<name>_window_max` — which is
-// what a dashboard should plot for "now" instead of since-boot totals.
+// WritePrometheus writes the snapshot's metric families as a
+// Prometheus-style text exposition (deterministic order), each with HELP
+// and TYPE lines. A family with no label keys exports plain unlabeled
+// sample lines. Windowed families additionally expose their
+// trailing-window view — for histograms
+// `<name>_window{quantile="0.5|0.9|0.99"}` live quantiles plus
+// `<name>_window_rps`, for gauges `<name>_window_max` — which is what a
+// dashboard should plot for "now" instead of since-boot totals.
 func WritePrometheus(w io.Writer, snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("obs: nil snapshot")
 	}
 	var b strings.Builder
-	sortedKeys := func(n int, collect func(func(string))) []string {
-		keys := make([]string, 0, n)
-		collect(func(k string) { keys = append(keys, k) })
-		sort.Strings(keys)
-		return keys
-	}
-	for _, k := range sortedKeys(len(snap.Counters), func(add func(string)) {
-		for k := range snap.Counters {
-			add(k)
-		}
-	}) {
-		n := promName(k)
-		helpLine(&b, n, "", "counter")
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", n, n, snap.Counters[k])
-	}
-	for _, k := range sortedKeys(len(snap.Gauges), func(add func(string)) {
-		for k := range snap.Gauges {
-			add(k)
-		}
-	}) {
-		n := promName(k)
-		helpLine(&b, n, "", "gauge")
-		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %g\n", n, n, snap.Gauges[k])
-	}
-	for _, k := range sortedKeys(len(snap.Histograms), func(add func(string)) {
-		for k := range snap.Histograms {
-			add(k)
-		}
-	}) {
-		h := snap.Histograms[k]
-		n := promName(k)
-		helpLine(&b, n, "", "histogram")
-		fmt.Fprintf(&b, "# TYPE %s histogram\n", n)
-		writeHistogramExposition(&b, n, nil, nil, &h)
-	}
 	for i := range snap.Families {
 		writeFamily(&b, &snap.Families[i])
 	}

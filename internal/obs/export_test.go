@@ -111,10 +111,12 @@ func TestChromeTraceDeviceThreads(t *testing.T) {
 }
 
 func TestPrometheusExport(t *testing.T) {
+	// Families without label keys export plain unlabeled sample lines.
 	tr := New(Options{})
-	tr.Counter("vmcu_serve_completed").Add(7)
-	tr.Gauge("vmcu_serve_queue_depth").Set(3)
-	h := tr.Histogram("vmcu_serve_latency_ms", []float64{10, 100})
+	reg := tr.Registry()
+	reg.CounterVec("vmcu_serve_completed", "").With().Add(7)
+	reg.GaugeVec("vmcu_serve_queue_depth", "", WindowOptions{}).With().Set(3)
+	h := reg.HistogramVec("vmcu_serve_latency_ms", "", []float64{10, 100}, WindowOptions{}).With()
 	h.Observe(5)
 	h.Observe(50)
 	h.Observe(500)

@@ -328,54 +328,55 @@ func (v *HistogramVec) otherLocked() *Histogram {
 
 // CounterVec returns the named counter family, creating it with the
 // given help text and label keys on first use (later calls ignore help
-// and keys; nil on a nil tracer).
-func (t *Tracer) CounterVec(name, help string, keys ...string) *CounterVec {
-	if t == nil {
+// and keys; nil on a nil registry). A family with no keys has exactly
+// one series, resolved by With().
+func (r *Registry) CounterVec(name, help string, keys ...string) *CounterVec {
+	if r == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v, ok := t.metrics.counterVecs[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := r.counterVecs[name]
 	if !ok {
 		v = &CounterVec{
 			name: name, help: help,
 			keys: append([]string(nil), keys...),
 		}
-		t.metrics.counterVecs[name] = v
+		r.counterVecs[name] = v
 	}
 	return v
 }
 
 // GaugeVec returns the named gauge family, creating it with the given
 // help text, window options (zero = unwindowed), and label keys on
-// first use (nil on a nil tracer).
-func (t *Tracer) GaugeVec(name, help string, win WindowOptions, keys ...string) *GaugeVec {
-	if t == nil {
+// first use (nil on a nil registry).
+func (r *Registry) GaugeVec(name, help string, win WindowOptions, keys ...string) *GaugeVec {
+	if r == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v, ok := t.metrics.gaugeVecs[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := r.gaugeVecs[name]
 	if !ok {
 		v = &GaugeVec{
 			name: name, help: help, win: win,
 			keys: append([]string(nil), keys...),
 		}
-		t.metrics.gaugeVecs[name] = v
+		r.gaugeVecs[name] = v
 	}
 	return v
 }
 
 // HistogramVec returns the named histogram family, creating it with the
 // given help text, ascending bucket bounds, window options (zero =
-// unwindowed), and label keys on first use (nil on a nil tracer).
-func (t *Tracer) HistogramVec(name, help string, bounds []float64, win WindowOptions, keys ...string) *HistogramVec {
-	if t == nil {
+// unwindowed), and label keys on first use (nil on a nil registry).
+func (r *Registry) HistogramVec(name, help string, bounds []float64, win WindowOptions, keys ...string) *HistogramVec {
+	if r == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v, ok := t.metrics.histogramVecs[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := r.histogramVecs[name]
 	if !ok {
 		b := append([]float64(nil), bounds...)
 		sort.Float64s(b)
@@ -384,9 +385,40 @@ func (t *Tracer) HistogramVec(name, help string, bounds []float64, win WindowOpt
 			bounds: b,
 			keys:   append([]string(nil), keys...),
 		}
-		t.metrics.histogramVecs[name] = v
+		r.histogramVecs[name] = v
 	}
 	return v
+}
+
+// Each calls f with every series' label values (aligned with the
+// family's keys; f must not retain or modify them) and current count.
+// The read is lock-free, like With's hit path; no-op on nil.
+func (v *CounterVec) Each(f func(values []string, n uint64)) {
+	if v == nil {
+		return
+	}
+	for _, s := range v.load() {
+		f(s.values, s.c.Value())
+	}
+}
+
+// Window merges every series' trailing window into one view as of now —
+// the family-wide live quantiles and rate. Nil on a nil or unwindowed
+// family; an empty family yields a zero-count view.
+func (v *HistogramVec) Window() *WindowData {
+	if v == nil || !v.win.enabled() {
+		return nil
+	}
+	nanos := windowClock()
+	out := newWindowData(v.win.withDefaults(), len(v.bounds))
+	var samples []float64
+	for _, s := range v.load() {
+		s.h.mu.Lock()
+		samples = s.h.win.mergeInto(out, samples, nanos)
+		s.h.mu.Unlock()
+	}
+	out.finish(v.bounds, samples)
+	return out
 }
 
 // SeriesPoint is one labelset's state inside a FamilyData snapshot.
@@ -421,8 +453,8 @@ type FamilyData struct {
 	Series []SeriesPoint
 }
 
-// snapshot captures a counter family. Safe to call without Tracer.mu;
-// reads the immutable series map, no lock.
+// snapshot captures a counter family. Reads the immutable series map,
+// no lock.
 func (v *CounterVec) snapshot(nanos int64) FamilyData {
 	if v == nil {
 		return FamilyData{}
@@ -440,7 +472,7 @@ func (v *CounterVec) snapshot(nanos int64) FamilyData {
 }
 
 // snapshot captures a gauge family (including trailing windows as of
-// nanos). Safe to call without Tracer.mu.
+// nanos).
 func (v *GaugeVec) snapshot(nanos int64) FamilyData {
 	if v == nil {
 		return FamilyData{}
@@ -464,7 +496,7 @@ func (v *GaugeVec) snapshot(nanos int64) FamilyData {
 }
 
 // snapshot captures a histogram family (including trailing windows as
-// of nanos). Safe to call without Tracer.mu.
+// of nanos).
 func (v *HistogramVec) snapshot(nanos int64) FamilyData {
 	if v == nil {
 		return FamilyData{}

@@ -7,11 +7,11 @@ import (
 	"sync/atomic"
 )
 
-// Counters, gauges, and histograms live in per-tracer registries keyed by
-// name: the first Counter/Gauge/Histogram call for a name creates the
-// instrument, later calls return the same one, so instrumented call sites
-// need no registration step. Handles are cheap to hold and every method
-// is nil-receiver-safe (a nil tracer hands out nil instruments).
+// Counters, gauges, and histograms are the per-series handles of the
+// labeled families in labels.go, which live in a Registry keyed by family
+// name. Handles are cheap to hold and every method is nil-receiver-safe
+// (a nil registry hands out nil families, whose series are nil
+// instruments).
 
 // Counter is a monotonically increasing uint64 metric (lint:nilsafe:
 // every exported method tolerates a nil receiver).
@@ -157,6 +157,8 @@ func (h *Histogram) LiveQuantile(q float64) (float64, uint64) {
 		return w.P50, w.Count
 	case q <= 0.90:
 		return w.P90, w.Count
+	case q <= 0.95:
+		return w.P95, w.Count
 	default:
 		return w.P99, w.Count
 	}
@@ -182,104 +184,51 @@ func (h *Histogram) snapshot() HistogramData {
 	}
 }
 
-// metricsRegistry is the tracer's instrument store, guarded by Tracer.mu.
-type metricsRegistry struct {
-	counters      map[string]*Counter
-	gauges        map[string]*Gauge
-	histograms    map[string]*Histogram
+// Registry is a set of labeled metric families keyed by name: the first
+// CounterVec/GaugeVec/HistogramVec call for a name creates the family,
+// later calls return the same one, so instrumented call sites need no
+// separate registration step. A registry stands on its own — the serving
+// layer keeps one whether or not it is traced — and every Tracer carries
+// one (Tracer.Registry) whose families its Snapshot exports. The zero
+// *Registry (nil) hands out nil families (lint:nilsafe: every exported
+// method tolerates a nil receiver).
+type Registry struct {
+	mu sync.Mutex
+	// The family maps are guarded by Registry.mu.
 	counterVecs   map[string]*CounterVec
 	gaugeVecs     map[string]*GaugeVec
 	histogramVecs map[string]*HistogramVec
 }
 
-// newMetricsRegistry builds an empty registry; the maps are created up
-// front so instrument lookups never nil-check them.
-func newMetricsRegistry() metricsRegistry {
-	return metricsRegistry{
-		counters:      map[string]*Counter{},
-		gauges:        map[string]*Gauge{},
-		histograms:    map[string]*Histogram{},
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{
 		counterVecs:   map[string]*CounterVec{},
 		gaugeVecs:     map[string]*GaugeVec{},
 		histogramVecs: map[string]*HistogramVec{},
 	}
 }
 
-// Counter returns the named counter, creating it on first use (nil on a
-// nil tracer).
-func (t *Tracer) Counter(name string) *Counter {
-	if t == nil {
+// Families snapshots every family, sorted by name, with trailing-window
+// views merged as of the call (nil on a nil registry). Each family takes
+// its own locks after Registry.mu; the order never inverts.
+func (r *Registry) Families() []FamilyData {
+	if r == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c, ok := t.metrics.counters[name]
-	if !ok {
-		c = &Counter{}
-		t.metrics.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use (nil on a nil
-// tracer).
-func (t *Tracer) Gauge(name string) *Gauge {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	g, ok := t.metrics.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		t.metrics.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it with the given
-// ascending bucket upper bounds on first use (later calls ignore bounds;
-// nil on a nil tracer).
-func (t *Tracer) Histogram(name string, bounds []float64) *Histogram {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h, ok := t.metrics.histograms[name]
-	if !ok {
-		b := append([]float64(nil), bounds...)
-		sort.Float64s(b)
-		h = &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
-		t.metrics.histograms[name] = h
-	}
-	return h
-}
-
-// fill copies the registries into a snapshot; runs with Tracer.mu held
-// (each labeled family additionally takes its own lock — the order is
-// always Tracer.mu, then Vec.mu, then the instrument's mutex). nanos is
-// the window clock reading the trailing-window merges are taken at.
-func (r *metricsRegistry) fill(snap *Snapshot, nanos int64) {
-	for name, c := range r.counters {
-		snap.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		snap.Gauges[name] = g.Value()
-	}
-	for name, h := range r.histograms {
-		snap.Histograms[name] = h.snapshot()
-	}
+	nanos := windowClock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []FamilyData
 	for _, v := range r.counterVecs {
-		snap.Families = append(snap.Families, v.snapshot(nanos))
+		out = append(out, v.snapshot(nanos))
 	}
 	for _, v := range r.gaugeVecs {
-		snap.Families = append(snap.Families, v.snapshot(nanos))
+		out = append(out, v.snapshot(nanos))
 	}
 	for _, v := range r.histogramVecs {
-		snap.Families = append(snap.Families, v.snapshot(nanos))
+		out = append(out, v.snapshot(nanos))
 	}
-	sort.Slice(snap.Families, func(i, j int) bool {
-		return snap.Families[i].Name < snap.Families[j].Name
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }

@@ -3,17 +3,22 @@
 // planner/search instrumentation in netplan, and recorded device
 // timelines (the pool-occupancy evolution of the paper's Figure 1) — all
 // collected by one Tracer and exportable as Chrome trace_event JSON
-// (chrome://tracing / Perfetto) or a Prometheus-style text exposition.
+// (chrome://tracing / Perfetto) — plus labeled metric families in a
+// Registry, exportable as a Prometheus-style text exposition. Metrics do
+// not need a tracer: a Registry stands alone, and a Tracer carries one
+// whose families its Snapshot exports.
 //
 // Design constraints, in order:
 //
 //   - Opt-in with a no-op default. Every instrumented call site holds a
-//     *Tracer that may be nil; every method on *Tracer, *Span, *Counter,
-//     *Gauge, and *Histogram is nil-receiver-safe and returns immediately.
-//     The disabled path is a nil check and nothing else — no allocation,
-//     no atomic, no lock — so instrumentation can stay threaded through
-//     hot paths permanently (the vmcu-bench tracer section pins the
-//     overhead at < 2% on the serving workload).
+//     *Tracer that may be nil; every method on *Tracer, *Span, *Registry,
+//     the families, *Counter, *Gauge, and *Histogram is
+//     nil-receiver-safe and returns immediately. The disabled path is a
+//     nil check and nothing else — no allocation, no atomic, no lock — so
+//     instrumentation can stay threaded through hot paths permanently
+//     (BenchmarkSpanNoop pins the per-call cost; the serving benchmark's
+//     admit-flood vs admit-flood-ops workloads measure the end-to-end
+//     tracing tax).
 //   - Race-clean. A Tracer is safe for concurrent use from any number of
 //     goroutines: span storage is sharded across per-shard mutexes (one
 //     global span lock becomes the bottleneck at serving rates — every
@@ -190,11 +195,13 @@ type Tracer struct {
 	// atomically so the admission-time decision reads it without a lock.
 	sampler atomic.Pointer[sampler]
 
+	// reg holds the tracer's metric families; the pointer is immutable
+	// after New and the registry has its own lock.
+	reg *Registry
+
 	mu sync.Mutex
 	// series is guarded by Tracer.mu.
 	series []Series
-	// metrics is the instrument registry, guarded by Tracer.mu.
-	metrics metricsRegistry
 }
 
 // New returns an enabled Tracer.
@@ -208,10 +215,10 @@ func New(opts Options) *Tracer {
 		nshards = capacity
 	}
 	t := &Tracer{
-		epoch:   time.Now(),
-		cap:     capacity,
-		shards:  make([]spanShard, nshards),
-		metrics: newMetricsRegistry(),
+		epoch:  time.Now(),
+		cap:    capacity,
+		shards: make([]spanShard, nshards),
+		reg:    NewRegistry(),
 	}
 	// Distribute the capacity exactly: the first capacity%nshards shards
 	// take one extra slot, so the shard caps always sum to capacity.
@@ -227,6 +234,15 @@ func New(opts Options) *Tracer {
 
 // Enabled reports whether the tracer records anything (false on nil).
 func (t *Tracer) Enabled() bool { return t != nil }
+
+// Registry returns the tracer's metric registry, whose families Snapshot
+// exports (nil on a nil tracer, which hands out nil families).
+func (t *Tracer) Registry() *Registry {
+	if t == nil {
+		return nil
+	}
+	return t.reg
+}
 
 // now returns wall nanoseconds since the tracer's epoch.
 func (t *Tracer) now() int64 { return int64(time.Since(t.epoch)) }
@@ -650,25 +666,16 @@ type Snapshot struct {
 	TotalSpans, DroppedSpans uint64
 	// Series are the recorded sample timelines.
 	Series []Series
-	// Counters, Gauges, and Histograms are the unlabeled metric
-	// registries' state.
-	Counters   map[string]uint64
-	Gauges     map[string]float64
-	Histograms map[string]HistogramData
-	// Families are the labeled metric families (CounterVec/GaugeVec/
-	// HistogramVec), sorted by name, with trailing-window views merged
-	// as of the snapshot instant.
+	// Families are the tracer registry's metric families (CounterVec/
+	// GaugeVec/HistogramVec), sorted by name, with trailing-window views
+	// merged as of the snapshot instant.
 	Families []FamilyData
 }
 
 // Snapshot returns a copy of the tracer's state (nil-safe: a nil tracer
 // yields an empty snapshot).
 func (t *Tracer) Snapshot() *Snapshot {
-	snap := &Snapshot{
-		Counters:   map[string]uint64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramData{},
-	}
+	snap := &Snapshot{}
 	if t == nil {
 		return snap
 	}
@@ -704,7 +711,7 @@ func (t *Tracer) Snapshot() *Snapshot {
 	snap.DroppedSpans = snap.TotalSpans - uint64(len(snap.Spans))
 	t.mu.Lock()
 	snap.Series = append([]Series(nil), t.series...)
-	t.metrics.fill(snap, windowClock())
 	t.mu.Unlock()
+	snap.Families = t.reg.Families()
 	return snap
 }

@@ -25,16 +25,23 @@ func TestNilTracerIsSafeAndFree(t *testing.T) {
 	}
 	tr.StartChild(nil, "child", KindStage).End()
 	tr.StartUnder(7, 9, "u", KindUnit).End()
-	tr.Counter("c").Inc()
-	tr.Counter("c").Add(5)
-	tr.Gauge("g").Set(1.5)
-	tr.Histogram("h", []float64{1, 2}).Observe(1)
+	reg := tr.Registry()
+	if reg != nil {
+		t.Fatal("nil tracer returned a non-nil registry")
+	}
+	reg.CounterVec("c", "").With().Inc()
+	reg.CounterVec("c", "").With().Add(5)
+	reg.GaugeVec("g", "", WindowOptions{}).With().Set(1.5)
+	reg.HistogramVec("h", "", []float64{1, 2}, WindowOptions{}).With().Observe(1)
+	if fams := reg.Families(); fams != nil {
+		t.Fatalf("nil registry families = %+v", fams)
+	}
 	tr.RecordSeries("pool", "m4", "bytes", []int{1, 2, 3})
 	if id := tr.Emit(SpanData{Name: "e"}); id != 0 {
 		t.Fatalf("nil tracer Emit returned id %d", id)
 	}
 	snap := tr.Snapshot()
-	if len(snap.Spans) != 0 || snap.TotalSpans != 0 || len(snap.Series) != 0 {
+	if len(snap.Spans) != 0 || snap.TotalSpans != 0 || len(snap.Series) != 0 || len(snap.Families) != 0 {
 		t.Fatalf("nil tracer snapshot not empty: %+v", snap)
 	}
 }
@@ -112,24 +119,42 @@ func TestRingBufferBoundsSpans(t *testing.T) {
 	}
 }
 
+// familyNamed returns the named family of a snapshot, failing the test
+// when it is missing or has no series.
+func familyNamed(t *testing.T, fams []FamilyData, name string) FamilyData {
+	t.Helper()
+	for _, f := range fams {
+		if f.Name == name && len(f.Series) > 0 {
+			return f
+		}
+	}
+	t.Fatalf("family %q missing from %+v", name, fams)
+	return FamilyData{}
+}
+
 func TestMetricsRegistry(t *testing.T) {
 	tr := New(Options{})
-	tr.Counter("reqs").Inc()
-	tr.Counter("reqs").Add(2)
-	tr.Gauge("depth").Set(3)
-	tr.Gauge("depth").Set(7)
-	h := tr.Histogram("lat", []float64{10, 20, 50})
+	reg := tr.Registry()
+	reg.CounterVec("reqs", "").With().Inc()
+	reg.CounterVec("reqs", "").With().Add(2)
+	reg.GaugeVec("depth", "", WindowOptions{}).With().Set(3)
+	reg.GaugeVec("depth", "", WindowOptions{}).With().Set(7)
+	h := reg.HistogramVec("lat", "", []float64{10, 20, 50}, WindowOptions{}).With()
 	for _, v := range []float64{5, 10, 10.5, 20, 21, 1000} {
 		h.Observe(v)
 	}
-	snap := tr.Snapshot()
-	if snap.Counters["reqs"] != 3 {
-		t.Fatalf("counter = %d, want 3", snap.Counters["reqs"])
+	// The tracer's snapshot exports exactly its registry's families.
+	fams := tr.Snapshot().Families
+	if len(fams) != 3 {
+		t.Fatalf("snapshot holds %d families, want 3", len(fams))
 	}
-	if snap.Gauges["depth"] != 7 {
-		t.Fatalf("gauge = %g, want 7", snap.Gauges["depth"])
+	if c := familyNamed(t, fams, "reqs").Series[0].Counter; c != 3 {
+		t.Fatalf("counter = %d, want 3", c)
 	}
-	hd := snap.Histograms["lat"]
+	if g := familyNamed(t, fams, "depth").Series[0].Gauge; g != 7 {
+		t.Fatalf("gauge = %g, want 7", g)
+	}
+	hd := *familyNamed(t, fams, "lat").Series[0].Hist
 	// Buckets (le semantics): <=10: {5,10}, <=20: {10.5,20}, <=50: {21}, +Inf: {1000}.
 	want := []uint64{2, 2, 1, 1}
 	for i, w := range want {
@@ -143,13 +168,13 @@ func TestMetricsRegistry(t *testing.T) {
 }
 
 func TestHistogramBucketBoundaries(t *testing.T) {
-	tr := New(Options{})
-	h := tr.Histogram("b", []float64{1, 2})
+	reg := NewRegistry()
+	h := reg.HistogramVec("b", "", []float64{1, 2}, WindowOptions{}).With()
 	// A value exactly on a bound counts into that bound's bucket.
 	h.Observe(1)
 	h.Observe(2)
 	h.Observe(2.0000001)
-	hd := tr.Snapshot().Histograms["b"]
+	hd := *familyNamed(t, reg.Families(), "b").Series[0].Hist
 	if hd.Counts[0] != 1 || hd.Counts[1] != 1 || hd.Counts[2] != 1 {
 		t.Fatalf("boundary bucketing wrong: %+v", hd)
 	}
@@ -184,8 +209,8 @@ func TestTracerConcurrentUse(t *testing.T) {
 				s := tr.Start("op", KindStage)
 				s.Attr(Int("g", int64(g)))
 				s.End()
-				tr.Counter("n").Inc()
-				tr.Histogram("h", []float64{1, 10}).Observe(float64(i))
+				tr.Registry().CounterVec("n", "").With().Inc()
+				tr.Registry().HistogramVec("h", "", []float64{1, 10}, WindowOptions{}).With().Observe(float64(i))
 				if i%50 == 0 {
 					tr.Snapshot()
 				}
@@ -197,8 +222,8 @@ func TestTracerConcurrentUse(t *testing.T) {
 	if snap.TotalSpans != 1600 {
 		t.Fatalf("total spans = %d, want 1600", snap.TotalSpans)
 	}
-	if snap.Counters["n"] != 1600 {
-		t.Fatalf("counter = %d, want 1600", snap.Counters["n"])
+	if c := familyNamed(t, snap.Families, "n").Series[0].Counter; c != 1600 {
+		t.Fatalf("counter = %d, want 1600", c)
 	}
 	if len(snap.Spans) != 256 {
 		t.Fatalf("retained %d spans, want the 256-cap", len(snap.Spans))

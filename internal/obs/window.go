@@ -159,28 +159,43 @@ type WindowData struct {
 	// RatePerSec is Count over the trailing span — the live event rate
 	// (RPS for a request-latency histogram).
 	RatePerSec float64
-	// P50/P90/P99 are the trailing-window quantiles. Exact reports
+	// P50/P90/P95/P99 are the trailing-window quantiles. Exact reports
 	// whether they came from the raw-sample merge (true) or the bucket
 	// fallback after reservoir overflow (false). All zero when Count is 0.
-	P50, P90, P99 float64
-	Exact         bool
+	P50, P90, P95, P99 float64
+	Exact              bool
 	// Counts are the merged per-bucket counts, aligned with the owning
 	// histogram's Bounds plus the +Inf overflow bucket.
 	Counts []uint64
 }
 
+// newWindowData starts an empty trailing-window view of the given shape
+// over buckets+1 merged bucket counts.
+func newWindowData(opts WindowOptions, buckets int) *WindowData {
+	return &WindowData{
+		SubWindows: opts.SubWindows,
+		Width:      opts.Width,
+		Counts:     make([]uint64, buckets+1),
+		Exact:      true,
+	}
+}
+
 // merge builds the trailing-window view as of nanos. Runs with
 // Histogram.mu held.
 func (hw *histWindows) merge(nanos int64, bounds []float64) *WindowData {
-	out := &WindowData{
-		SubWindows: hw.opts.SubWindows,
-		Width:      hw.opts.Width,
-		Counts:     make([]uint64, len(bounds)+1),
-		Exact:      true,
-	}
+	out := newWindowData(hw.opts, len(bounds))
+	out.finish(bounds, hw.mergeInto(out, nil, nanos))
+	return out
+}
+
+// mergeInto adds the sub-windows trailing nanos into out's counts and
+// appends their raw samples, returning the grown slice; finish turns the
+// accumulation into quantiles. Merging several rings of the same shape
+// into one view is how a family-wide window is built. Runs with
+// Histogram.mu held.
+func (hw *histWindows) mergeInto(out *WindowData, samples []float64, nanos int64) []float64 {
 	cur := nanos / int64(hw.opts.Width)
 	oldest := cur - int64(hw.opts.SubWindows) + 1
-	var samples []float64
 	for i := range hw.wins {
 		w := &hw.wins[i]
 		if w.idx < oldest || w.idx > cur {
@@ -196,23 +211,25 @@ func (hw *histWindows) merge(nanos int64, bounds []float64) *WindowData {
 			out.Exact = false
 		}
 	}
-	span := time.Duration(hw.opts.SubWindows) * hw.opts.Width
+	return samples
+}
+
+// finish computes the rate and quantiles of an accumulated view: exact
+// from the raw samples when no sub-window overflowed its reservoir, else
+// from the merged bucket counts.
+func (out *WindowData) finish(bounds, samples []float64) {
+	span := time.Duration(out.SubWindows) * out.Width
 	out.RatePerSec = float64(out.Count) / span.Seconds()
 	if out.Count == 0 {
 		out.Exact = true
-		return out
+		return
 	}
+	quantile := func(q float64) float64 { return bucketQuantile(bounds, out.Counts, out.Count, q) }
 	if out.Exact {
 		sort.Float64s(samples)
-		out.P50 = quantileSorted(samples, 0.50)
-		out.P90 = quantileSorted(samples, 0.90)
-		out.P99 = quantileSorted(samples, 0.99)
-	} else {
-		out.P50 = bucketQuantile(bounds, out.Counts, out.Count, 0.50)
-		out.P90 = bucketQuantile(bounds, out.Counts, out.Count, 0.90)
-		out.P99 = bucketQuantile(bounds, out.Counts, out.Count, 0.99)
+		quantile = func(q float64) float64 { return quantileSorted(samples, q) }
 	}
-	return out
+	out.P50, out.P90, out.P95, out.P99 = quantile(0.50), quantile(0.90), quantile(0.95), quantile(0.99)
 }
 
 // quantileSorted is the nearest-rank quantile of an ascending slice.

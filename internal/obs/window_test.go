@@ -28,8 +28,7 @@ func TestWindowedQuantileMergeMatchesOfflineSort(t *testing.T) {
 	now := fakeClock(t)
 	const width = int64(time.Second)
 	const sub = 4
-	tr := New(Options{})
-	hv := tr.HistogramVec("lat_ms", "latency", []float64{1, 5, 25, 100}, WindowOptions{
+	hv := NewRegistry().HistogramVec("lat_ms", "latency", []float64{1, 5, 25, 100}, WindowOptions{
 		SubWindows: sub, Width: time.Duration(width), SampleCap: 1 << 16,
 	}, "model")
 	h := hv.With("m4")
@@ -72,7 +71,7 @@ func TestWindowedQuantileMergeMatchesOfflineSort(t *testing.T) {
 			q    float64
 			got  float64
 			name string
-		}{{0.50, w.P50, "p50"}, {0.90, w.P90, "p90"}, {0.99, w.P99, "p99"}} {
+		}{{0.50, w.P50, "p50"}, {0.90, w.P90, "p90"}, {0.95, w.P95, "p95"}, {0.99, w.P99, "p99"}} {
 			if off := quantileSorted(want, q.q); off != q.got {
 				t.Fatalf("step %d: %s = %g, offline sort = %g (n=%d)", step, q.name, q.got, off, len(want))
 			}
@@ -105,8 +104,7 @@ func TestWindowReservoirOverflowFallsBackToBuckets(t *testing.T) {
 	now := fakeClock(t)
 	*now = int64(time.Hour)
 	bounds := []float64{1, 5, 25, 100}
-	tr := New(Options{})
-	h := tr.HistogramVec("x", "", bounds, WindowOptions{
+	h := NewRegistry().HistogramVec("x", "", bounds, WindowOptions{
 		SubWindows: 2, Width: time.Second, SampleCap: 8,
 	}).With()
 	for i := 0; i < 100; i++ {
@@ -131,8 +129,7 @@ func TestWindowReservoirOverflowFallsBackToBuckets(t *testing.T) {
 func TestLiveQuantileCachesPerRotation(t *testing.T) {
 	now := fakeClock(t)
 	*now = int64(time.Hour)
-	tr := New(Options{})
-	h := tr.HistogramVec("x", "", []float64{1, 10, 100, 1000}, WindowOptions{
+	h := NewRegistry().HistogramVec("x", "", []float64{1, 10, 100, 1000}, WindowOptions{
 		SubWindows: 4, Width: time.Second,
 	}).With()
 	h.Observe(10)
@@ -170,13 +167,46 @@ func TestLiveQuantileCachesPerRotation(t *testing.T) {
 	}
 }
 
+// TestFamilyWindowMergesSeries checks the family-wide trailing view: the
+// merge of every series' window equals an offline sort over the union of
+// their in-window observations, and aged-out sub-windows drop out of it.
+func TestFamilyWindowMergesSeries(t *testing.T) {
+	now := fakeClock(t)
+	*now = int64(time.Hour)
+	hv := NewRegistry().HistogramVec("lat", "", []float64{1, 10, 100},
+		WindowOptions{SubWindows: 2, Width: time.Second}, "model")
+	if w := hv.Window(); w == nil || w.Count != 0 || w.P99 != 0 {
+		t.Fatalf("empty family window = %+v, want a zero-count view", w)
+	}
+	hv.With("stale").Observe(1000) // ages out below
+	*now += 2 * int64(time.Second)
+	var all []float64
+	for i := 1; i <= 40; i++ {
+		v := float64(i)
+		hv.With([]string{"a", "b", "c"}[i%3]).Observe(v)
+		all = append(all, v)
+	}
+	w := hv.Window()
+	if w.Count != uint64(len(all)) || !w.Exact {
+		t.Fatalf("family window count %d exact %v, want %d exact", w.Count, w.Exact, len(all))
+	}
+	for _, q := range []struct{ q, got float64 }{{0.50, w.P50}, {0.90, w.P90}, {0.95, w.P95}, {0.99, w.P99}} {
+		if want := quantileSorted(all, q.q); q.got != want {
+			t.Errorf("family p%g = %g, offline = %g", 100*q.q, q.got, want)
+		}
+	}
+	// Unwindowed families have no trailing view.
+	if w := NewRegistry().HistogramVec("x", "", nil, WindowOptions{}).Window(); w != nil {
+		t.Fatalf("unwindowed family window = %+v, want nil", w)
+	}
+}
+
 // TestGaugeWindowMax verifies the windowed gauge's trailing maximum and
 // that stale sub-windows age out.
 func TestGaugeWindowMax(t *testing.T) {
 	now := fakeClock(t)
 	*now = int64(time.Hour)
-	tr := New(Options{})
-	gv := tr.GaugeVec("occ", "occupancy", WindowOptions{SubWindows: 2, Width: time.Second}, "device")
+	gv := NewRegistry().GaugeVec("occ", "occupancy", WindowOptions{SubWindows: 2, Width: time.Second}, "device")
 	g := gv.With("d0")
 	g.Set(100)
 	g.Set(40)
@@ -206,8 +236,7 @@ func TestGaugeWindowMax(t *testing.T) {
 // same instrument), snapshot ordering, and the cardinality cap
 // collapsing into the catch-all series.
 func TestVecIdentityAndOverflow(t *testing.T) {
-	tr := New(Options{})
-	cv := tr.CounterVec("reqs_total", "requests", "model", "outcome")
+	cv := NewRegistry().CounterVec("reqs_total", "requests", "model", "outcome")
 	a := cv.With("m4", "done")
 	if b := cv.With("m4", "done"); a != b {
 		t.Fatal("same labelset resolved to different counters")
@@ -241,11 +270,15 @@ func TestVecIdentityAndOverflow(t *testing.T) {
 		t.Fatal("family series not sorted by label values")
 	}
 
-	// Nil-safety: a nil tracer's family chain is all no-ops.
-	var nilTr *Tracer
-	nilTr.CounterVec("x", "").With("a").Inc()
-	nilTr.GaugeVec("y", "", WindowOptions{}).With().Set(1)
-	nilTr.HistogramVec("z", "", nil, WindowOptions{}).With().Observe(1)
+	// Nil-safety: a nil registry's family chain is all no-ops.
+	var nilReg *Registry
+	nilReg.CounterVec("x", "").With("a").Inc()
+	nilReg.CounterVec("x", "").Each(func([]string, uint64) { t.Fatal("nil family has series") })
+	nilReg.GaugeVec("y", "", WindowOptions{}).With().Set(1)
+	nilReg.HistogramVec("z", "", nil, WindowOptions{}).With().Observe(1)
+	if w := nilReg.HistogramVec("z", "", nil, WindowOptions{}).Window(); w != nil {
+		t.Fatalf("nil family window = %+v", w)
+	}
 }
 
 // TestPrometheusLabeledExposition covers HELP lines, label rendering,
@@ -254,10 +287,10 @@ func TestPrometheusLabeledExposition(t *testing.T) {
 	now := fakeClock(t)
 	*now = int64(time.Hour)
 	tr := New(Options{})
-	tr.Counter("plain_total").Add(2)
-	cv := tr.CounterVec("vmcu_outcomes_total", "Terminal outcomes.", "model", "outcome")
+	tr.Registry().CounterVec("plain_total", "").With().Add(2)
+	cv := tr.Registry().CounterVec("vmcu_outcomes_total", "Terminal outcomes.", "model", "outcome")
 	cv.With(`we"ird\mo`+"\n"+`del`, "done").Add(5)
-	hv := tr.HistogramVec("vmcu_latency_ms", "Request latency.", []float64{1, 10},
+	hv := tr.Registry().HistogramVec("vmcu_latency_ms", "Request latency.", []float64{1, 10},
 		WindowOptions{SubWindows: 2, Width: time.Second}, "model")
 	hv.With("m4").Observe(4)
 

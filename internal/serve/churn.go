@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"github.com/vmcu-project/vmcu/internal/mcu"
 )
 
 // Device churn: the fleet is mutable while the server runs.
@@ -77,14 +79,7 @@ func (s *Server) addDeviceLocked(cfg DeviceConfig) (*device, error) {
 		}
 	}
 	if sh == nil {
-		sh = &shard{srv: s, index: len(s.shards), key: cfg.Profile.Name, profile: cfg.Profile}
-		sh.cond = sync.NewCond(&sh.mu)
-		sh.hQueueDepth = s.ins.queueDepth.With(sh.key)
-		sh.hDegraded = s.ins.degraded.With(sh.key)
-		sh.hRequeued = s.ins.requeued.With(sh.key)
-		sh.hVariantUpgrades = s.ins.variantUpgrades.With(sh.key)
-		sh.hDegradedAdmissions = s.ins.degradedAdmissions.With(sh.key)
-		s.shards = append(s.shards, sh)
+		sh = s.newShardLocked(cfg.Profile)
 	}
 	d := &device{name: name, profile: cfg.Profile, ledger: led, slots: slots, sh: sh}
 	d.hPoolUsed = s.ins.poolUsed.With(name, sh.key)
@@ -102,6 +97,26 @@ func (s *Server) addDeviceLocked(cfg DeviceConfig) (*device, error) {
 	}
 	s.dispatchers.Add(1)
 	return d, nil
+}
+
+// newShardLocked creates the device group for profile, resolves its
+// metric handles, and appends it to the shard set. Runs with Server.mu
+// held.
+func (s *Server) newShardLocked(profile mcu.Profile) *shard {
+	sh := &shard{srv: s, index: len(s.shards), key: profile.Name, profile: profile}
+	sh.cond = sync.NewCond(&sh.mu)
+	sh.hQueueDepth = s.ins.queueDepth.With(sh.key)
+	sh.hQueueHighWater = s.ins.queueHighWater.With(sh.key)
+	sh.hDegraded = s.ins.degraded.With(sh.key)
+	sh.hRequeued = s.ins.requeued.With(sh.key)
+	sh.hVariantUpgrades = s.ins.variantUpgrades.With(sh.key)
+	sh.hDegradedAdmissions = s.ins.degradedAdmissions.With(sh.key)
+	sh.hDegradedEngaged = s.ins.degradedEngaged.With(sh.key)
+	sh.hBudgetMet = s.ins.latencyBudget.With(sh.key, "met")
+	sh.hBudgetMissed = s.ins.latencyBudget.With(sh.key, "missed")
+	sh.hDeviceCrashes = s.ins.deviceCrashes.With(sh.key)
+	s.shards = append(s.shards, sh)
+	return sh
 }
 
 // RemoveDevice drains one device gracefully: it stops taking new work,
@@ -174,7 +189,7 @@ func (s *Server) CrashDevice(name string) (abandonedBytes int, err error) {
 	bytes, _ := d.ledger.Abandon()
 	d.hPoolUsed.Set(0)
 	d.hPoolCap.Set(0)
-	sh.m.deviceCrashes++
+	sh.hDeviceCrashes.Inc()
 	evacuated := sh.q.drainOver(int(sh.poolMax.Load()))
 	for _, req := range evacuated {
 		s.traceEvacuated(sh, req)
@@ -248,7 +263,6 @@ func (s *Server) requeue(req *request, from string) bool {
 			sh.mu.Unlock()
 			continue
 		}
-		sh.m.requeued++
 		s.traceRequeue(sh, req, from)
 		s.enqueueLocked(sh, req)
 		sh.mu.Unlock()
@@ -258,25 +272,20 @@ func (s *Server) requeue(req *request, from string) bool {
 }
 
 // resolveDeviceLost terminally resolves a request stranded by churn. sh
-// names the shard whose counter absorbs the loss (nil picks the
-// request's last home shard, falling back to the first).
+// names the shard the loss is charged to (nil picks the request's last
+// home shard, falling back to the first — shards are never removed, so
+// one always exists).
 func (s *Server) resolveDeviceLost(sh *shard, req *request, devName string) {
 	if sh == nil {
 		idx := int(req.shardIdx.Load())
 		s.mu.Lock()
-		if idx >= 0 && idx < len(s.shards) {
-			sh = s.shards[idx]
-		} else if len(s.shards) > 0 {
-			sh = s.shards[0]
+		if idx < 0 || idx >= len(s.shards) {
+			idx = 0
 		}
+		sh = s.shards[idx]
 		s.mu.Unlock()
 	}
-	if sh != nil {
-		sh.mu.Lock()
-		sh.m.deviceLost++
-		sh.mu.Unlock()
-	}
-	s.traceDeviceLost(req, devName)
+	s.traceDeviceLost(sh, req, devName)
 	req.resolve(Result{
 		Model:     req.mdl.name,
 		Device:    devName,

@@ -463,8 +463,8 @@ func TestDegradedModeHysteresis(t *testing.T) {
 		reqs = append(reqs, r)
 		s.enqueueLocked(sh, r)
 	}
-	if !sh.degraded || sh.m.degradedEngaged != 1 {
-		t.Fatalf("depth 4 with threshold 4: degraded=%v engaged=%d", sh.degraded, sh.m.degradedEngaged)
+	if !sh.degraded || sh.hDegradedEngaged.Value() != 1 {
+		t.Fatalf("depth 4 with threshold 4: degraded=%v engaged=%d", sh.degraded, sh.hDegradedEngaged.Value())
 	}
 	// Falling to 3 (> half) must NOT disengage — no flapping at the edge.
 	sh.q.remove(reqs[3])
@@ -482,7 +482,7 @@ func TestDegradedModeHysteresis(t *testing.T) {
 	for i := 4; i < 6; i++ {
 		s.enqueueLocked(sh, queued(uint64(i), 10, 0))
 	}
-	if !sh.degraded || sh.m.degradedEngaged != 2 {
-		t.Fatalf("re-engage: degraded=%v engaged=%d", sh.degraded, sh.m.degradedEngaged)
+	if !sh.degraded || sh.hDegradedEngaged.Value() != 2 {
+		t.Fatalf("re-engage: degraded=%v engaged=%d", sh.degraded, sh.hDegradedEngaged.Value())
 	}
 }

@@ -1,106 +1,11 @@
 package serve
 
 import (
-	"sort"
+	"math"
 	"time"
 
 	"github.com/vmcu-project/vmcu/internal/netplan"
 )
-
-// latencyWindow bounds each shard's sojourn-latency reservoir:
-// percentiles are computed over the most recent latencyWindow completions
-// per shard, so a long-running server's snapshot reflects current
-// behaviour at fixed memory.
-const latencyWindow = 8192
-
-// latencyBuckets are the sojourn-latency histogram's upper bounds, le
-// semantics: a completion counts into the first bucket whose bound it
-// does not exceed, with one implicit overflow bucket past the last bound.
-// Roughly 1-2-5 exponential from 1ms to 30s, covering sub-millisecond
-// dry-run admissions through multi-second verification backlogs.
-var latencyBuckets = []time.Duration{
-	1 * time.Millisecond,
-	2 * time.Millisecond,
-	5 * time.Millisecond,
-	10 * time.Millisecond,
-	20 * time.Millisecond,
-	50 * time.Millisecond,
-	100 * time.Millisecond,
-	200 * time.Millisecond,
-	500 * time.Millisecond,
-	1 * time.Second,
-	2 * time.Second,
-	5 * time.Second,
-	10 * time.Second,
-	30 * time.Second,
-}
-
-// metricsState is one shard's internal counter block, guarded by
-// shard.mu. Metrics() aggregates the blocks across shards.
-type metricsState struct {
-	submitted           uint64
-	completed           uint64
-	failed              uint64
-	canceled            uint64
-	shedDeadline        uint64
-	variantUpgrades     uint64
-	latencyBudgetMet    uint64
-	latencyBudgetMissed uint64
-	queueHighWater      int
-	degradedEngaged     uint64
-	degradedAdmissions  uint64
-	requeued            uint64
-	deviceLost          uint64
-	deviceCrashes       uint64
-
-	latencies [latencyWindow]time.Duration
-	latIdx    int
-	latCount  int
-
-	// Bucketed latency histogram over every completion since start (the
-	// reservoir above is windowed; the histogram is cumulative, which is
-	// what a Prometheus-style scrape needs). latHist[i] counts completions
-	// in bucket i (len(latencyBuckets)+1 buckets, last is overflow).
-	latHist  []uint64
-	latSum   time.Duration
-	latTotal uint64
-}
-
-// sampleLatency records one completion's sojourn time into the windowed
-// reservoir and the cumulative histogram. Runs with shard.mu held.
-func (m *metricsState) sampleLatency(d time.Duration) {
-	m.latencies[m.latIdx] = d
-	m.latIdx = (m.latIdx + 1) % latencyWindow
-	if m.latCount < latencyWindow {
-		m.latCount++
-	}
-	if m.latHist == nil {
-		m.latHist = make([]uint64, len(latencyBuckets)+1)
-	}
-	m.latHist[latencyBucketIndex(d)]++
-	m.latSum += d
-	m.latTotal++
-}
-
-// latencyBucketIndex returns the histogram bucket for one completion:
-// the first bound >= d, or the overflow bucket.
-func latencyBucketIndex(d time.Duration) int {
-	return sort.Search(len(latencyBuckets), func(i int) bool {
-		return d <= latencyBuckets[i]
-	})
-}
-
-// LatencyHistogram is the bucketed sojourn-latency distribution.
-type LatencyHistogram struct {
-	// Bounds are the bucket upper bounds (le semantics). Counts has
-	// len(Bounds)+1 entries — one per bucket plus the overflow bucket —
-	// and is NOT cumulative; a Prometheus exposition accumulates it.
-	Bounds []time.Duration
-	Counts []uint64
-	// Count and Sum cover every completion since server start.
-	Count uint64
-	Sum   time.Duration
-}
 
 // DeviceMetrics is one fleet device's snapshot. Devices removed or
 // crashed out of the fleet no longer appear.
@@ -160,7 +65,9 @@ type ShardMetrics struct {
 
 // Metrics is the server snapshot: counters, throughput, latency
 // percentiles, per-shard queue state, per-device pools, and plan-cache
-// stats.
+// stats. Every counter, the high-water marks, and the percentiles are
+// read from the server's metric families (instruments.go) — the same
+// numbers /metrics exports — and the rest from live queue and pool state.
 type Metrics struct {
 	Uptime time.Duration
 	// Submitted counts accepted submissions (tickets created). Each one
@@ -201,17 +108,14 @@ type Metrics struct {
 	DeviceCrashes uint64
 	// ThroughputRPS is completed requests per second of uptime.
 	ThroughputRPS float64
-	// Latency percentiles are sojourn times (submit → done) over the most
-	// recent completions (successful or failed), zero before the first,
-	// merged across shards.
+	// Latency percentiles are sojourn times (submit → done) of the
+	// completions (successful or failed) in the trailing 10 s window of
+	// vmcu_serve_latency_ms, merged across models; zero when none
+	// completed in it. Scrape vmcu_serve_latency_ms for the bucketed
+	// since-boot distribution.
 	LatencyP50 time.Duration
 	LatencyP95 time.Duration
 	LatencyP99 time.Duration
-	// LatencyHistogram is the bucketed sojourn-latency distribution over
-	// every completion since start (not windowed) — the shape a
-	// Prometheus-style exporter scrapes; bucket counts summed across
-	// shards.
-	LatencyHistogram LatencyHistogram
 	// QueueDepth sums the per-shard queue depths; QueueHighWater sums the
 	// per-shard high-water marks (the marks need not be simultaneous);
 	// QueueCap is the per-shard bound.
@@ -225,64 +129,83 @@ type Metrics struct {
 	Cache netplan.CacheStats
 }
 
-// Metrics returns a consistent-per-shard snapshot of the server's
-// counters and the fleet's pool state (shards are locked one at a time,
-// so cross-shard sums may straddle in-flight transitions).
+// Metrics returns a snapshot of the server's metric families and the
+// fleet's pool state. Counters are read without locks and shards are
+// locked one at a time, so sums may straddle in-flight transitions; at
+// quiescence Submitted equals the sum of the terminal outcomes exactly.
 func (s *Server) Metrics() Metrics {
 	s.mu.Lock()
-	out := Metrics{
-		Uptime:            time.Since(s.started),
-		RejectedQueueFull: s.rejectedFull,
-		RejectedTooLarge:  s.rejectedTooLarge,
-		QueueCap:          s.queueCap,
-	}
+	out := Metrics{Uptime: time.Since(s.started), QueueCap: s.queueCap}
 	shards := append([]*shard(nil), s.shards...)
 	s.mu.Unlock()
 
-	out.LatencyHistogram = LatencyHistogram{
-		Bounds: append([]time.Duration(nil), latencyBuckets...),
-		Counts: make([]uint64, len(latencyBuckets)+1),
-	}
-	var samples []time.Duration
+	// Each shard's share of the (model, shard)-labeled counters. Series
+	// outside every shard (submit-time rejections) only count server-wide.
+	type shardShare struct{ submitted, completed, shed, lost uint64 }
+	shares := make(map[string]*shardShare, len(shards))
 	for _, sh := range shards {
-		sh.mu.Lock()
-		m := &sh.m
-		out.Submitted += m.submitted
-		out.Completed += m.completed
-		out.Failed += m.failed
-		out.Canceled += m.canceled
-		out.ShedDeadline += m.shedDeadline
-		out.VariantUpgrades += m.variantUpgrades
-		out.LatencyBudgetMet += m.latencyBudgetMet
-		out.LatencyBudgetMissed += m.latencyBudgetMissed
-		out.DegradedAdmissions += m.degradedAdmissions
-		out.DegradedEngaged += m.degradedEngaged
-		out.Requeued += m.requeued
-		out.DeviceLost += m.deviceLost
-		out.DeviceCrashes += m.deviceCrashes
-		out.QueueDepth += sh.q.count
-		out.QueueHighWater += m.queueHighWater
-		out.LatencyHistogram.Count += m.latTotal
-		out.LatencyHistogram.Sum += m.latSum
-		for i, c := range m.latHist {
-			out.LatencyHistogram.Counts[i] += c
+		shares[sh.key] = &shardShare{}
+	}
+	share := func(key string) *shardShare {
+		if c := shares[key]; c != nil {
+			return c
 		}
-		samples = append(samples, m.latencies[:m.latCount]...)
-		out.Shards = append(out.Shards, ShardMetrics{
+		return &shardShare{}
+	}
+	s.ins.submitted.Each(func(v []string, n uint64) { // model, shard
+		out.Submitted += n
+		share(v[1]).submitted += n
+	})
+	s.ins.outcomes.Each(func(v []string, n uint64) { // model, shard, outcome
+		c := share(v[1])
+		switch v[2] {
+		case outcomeDone:
+			out.Completed += n
+			c.completed += n
+		case outcomeFailed:
+			out.Failed += n
+		case outcomeCanceled:
+			out.Canceled += n
+		case outcomeShedDeadline:
+			out.ShedDeadline += n
+			c.shed += n
+		case outcomeDeviceLost:
+			out.DeviceLost += n
+			c.lost += n
+		case outcomeQueueFull:
+			out.RejectedQueueFull += n
+		}
+	})
+	out.RejectedTooLarge = s.ins.tooLarge.Value()
+
+	for _, sh := range shards {
+		c := shares[sh.key]
+		sm := ShardMetrics{
 			Key:                sh.key,
-			Devices:            len(sh.devices),
-			QueueDepth:         sh.q.count,
-			QueueHighWater:     m.queueHighWater,
-			Degraded:           sh.degraded,
-			DegradedAdmissions: m.degradedAdmissions,
-			DegradedEngaged:    m.degradedEngaged,
-			Submitted:          m.submitted,
-			Completed:          m.completed,
-			ShedDeadline:       m.shedDeadline,
-			Requeued:           m.requeued,
-			DeviceLost:         m.deviceLost,
-			DeviceCrashes:      m.deviceCrashes,
-		})
+			QueueHighWater:     int(sh.hQueueHighWater.Value()),
+			DegradedAdmissions: sh.hDegradedAdmissions.Value(),
+			DegradedEngaged:    sh.hDegradedEngaged.Value(),
+			Submitted:          c.submitted,
+			Completed:          c.completed,
+			ShedDeadline:       c.shed,
+			Requeued:           sh.hRequeued.Value(),
+			DeviceLost:         c.lost,
+			DeviceCrashes:      sh.hDeviceCrashes.Value(),
+		}
+		out.VariantUpgrades += sh.hVariantUpgrades.Value()
+		out.LatencyBudgetMet += sh.hBudgetMet.Value()
+		out.LatencyBudgetMissed += sh.hBudgetMissed.Value()
+		out.DegradedAdmissions += sm.DegradedAdmissions
+		out.DegradedEngaged += sm.DegradedEngaged
+		out.Requeued += sm.Requeued
+		out.DeviceCrashes += sm.DeviceCrashes
+		out.QueueHighWater += sm.QueueHighWater
+
+		sh.mu.Lock()
+		sm.Devices = len(sh.devices)
+		sm.QueueDepth = sh.q.count
+		sm.Degraded = sh.degraded
+		out.QueueDepth += sh.q.count
 		for _, d := range sh.devices {
 			cap, used, peak := d.ledger.Capacity(), d.ledger.Used(), d.ledger.PeakUsed()
 			adm, ref := d.ledger.Counters()
@@ -303,30 +226,19 @@ func (s *Server) Metrics() Metrics {
 			})
 		}
 		sh.mu.Unlock()
+		out.Shards = append(out.Shards, sm)
 	}
 	if sec := out.Uptime.Seconds(); sec > 0 {
 		out.ThroughputRPS = float64(out.Completed) / sec
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	out.LatencyP50 = percentile(samples, 0.50)
-	out.LatencyP95 = percentile(samples, 0.95)
-	out.LatencyP99 = percentile(samples, 0.99)
+	w := s.ins.latency.Window()
+	out.LatencyP50, out.LatencyP95, out.LatencyP99 = msDuration(w.P50), msDuration(w.P95), msDuration(w.P99)
 	out.Cache = s.cache.Stats()
 	return out
 }
 
-// percentile returns the q-quantile of sorted samples (nearest-rank), or 0
-// when empty.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+// msDuration converts a latency observed in milliseconds back to the
+// duration it was recorded from.
+func msDuration(ms float64) time.Duration {
+	return time.Duration(math.Round(ms * float64(time.Millisecond)))
 }

@@ -3,10 +3,12 @@ package serve
 import (
 	"errors"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/vmcu-project/vmcu/internal/mcu"
+	"github.com/vmcu-project/vmcu/internal/obs"
 )
 
 // bareShard builds a dispatcherless server with one single-device shard
@@ -23,10 +25,10 @@ func bareShard(t *testing.T, pool, slots int) (*Server, *shard, *device) {
 		degradeDepth: 17, // disabled: depth never exceeds queueCap
 		models:       make(map[string]*model),
 		devNames:     make(map[string]bool),
+		reg:          obs.NewRegistry(),
 	}
-	sh := &shard{srv: s, index: 0, key: "test"}
-	sh.cond = sync.NewCond(&sh.mu)
-	s.shards = []*shard{sh}
+	s.ins = newServeInstruments(s.reg)
+	sh := s.newShardLocked(mcu.Profile{Name: "test"})
 	d := &device{name: "dev", ledger: led, slots: slots, sh: sh}
 	sh.devices = []*device{d}
 	sh.updatePoolMaxLocked()
@@ -169,8 +171,8 @@ func TestShedExpired(t *testing.T) {
 	if State(stale.state.Load()) != StateRejected {
 		t.Errorf("shed state = %v, want rejected", State(stale.state.Load()))
 	}
-	if sh.m.shedDeadline != 1 {
-		t.Errorf("shedDeadline = %d, want 1", sh.m.shedDeadline)
+	if n := s.ins.outcomes.With("m", "test", outcomeShedDeadline).Value(); n != 1 {
+		t.Errorf("shed-deadline outcomes = %d, want 1", n)
 	}
 }
 

@@ -94,16 +94,30 @@ func TestAlwaysKeepClassesCapturedAtTinyRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Two requests are held mid-flight, since a tiny request finishes in
+	// microseconds: the slot occupier until the queue scenarios are
+	// staged behind it, and the stranded one until its device crashed.
+	const occupySeed, lostSeed = 1, 20
+	occupy := newExecGate(func(*device) bool { return true })
+	lost := newExecGate(func(*device) bool { return true })
+	s.testExecGate = func(d *device, r *request) {
+		switch r.seed {
+		case occupySeed:
+			occupy.hook(d, r)
+		case lostSeed:
+			lost.hook(d, r)
+		}
+	}
 	if err := s.Register("tiny", tinyModel(), ModelConfig{}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Occupy the only slot so later submissions queue.
-	tk1, err := s.Submit("tiny", SubmitOptions{Seed: 1})
+	tk1, err := s.Submit("tiny", SubmitOptions{Seed: occupySeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitResident(t, tk1)
+	occupy.waitHeld(t, 1)
 
 	// One deadline shed: already expired, the next dispatcher scan drops it.
 	tkShed, err := s.Submit("tiny", SubmitOptions{Seed: 2, Deadline: time.Now().Add(-time.Second)})
@@ -128,19 +142,21 @@ func TestAlwaysKeepClassesCapturedAtTinyRate(t *testing.T) {
 	if !tkQueued.Cancel() {
 		t.Fatal("cancel lost the race against admission")
 	}
+	close(occupy.release)
 	if _, err := tk1.Result(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Strand one request on a crashing device with no survivor to absorb it.
-	tkLost, err := s.Submit("tiny", SubmitOptions{Seed: 20})
+	tkLost, err := s.Submit("tiny", SubmitOptions{Seed: lostSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitResident(t, tkLost)
+	lost.waitHeld(t, 1)
 	if _, err := s.CrashDevice("m4"); err != nil {
 		t.Fatal(err)
 	}
+	close(lost.release)
 	if _, err := tkLost.Result(); !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("stranded request resolved with %v, want ErrDeviceLost", err)
 	}

@@ -12,12 +12,13 @@
 //     (TryReserve refuses reservations past capacity).
 //   - Sharded admission. Devices sharing an mcu.Profile form a device
 //     group (shard) with its own bounded priority queue, lock, and
-//     metrics, so dispatchers never contend across groups. Submissions
-//     are routed to the least-loaded shard whose largest usable pool fits
-//     the request: shed-on-full at submit, strict priority with FIFO
-//     within a priority (per-priority FIFO rings indexed by peak — see
-//     queue.go), and per-request admission deadlines (defaulted per
-//     model) shed lazily whenever a dispatcher scans.
+//     metric handles, so dispatchers never contend across groups.
+//     Submissions are routed to the least-loaded shard whose largest
+//     usable pool fits the request: shed-on-full at submit, strict
+//     priority with FIFO within a priority (per-priority FIFO rings
+//     indexed by peak — see queue.go), and per-request admission
+//     deadlines (defaulted per model) shed lazily whenever a dispatcher
+//     scans.
 //   - Work-stealing dispatch. Every device runs one dispatcher goroutine
 //     that steals the highest-priority fitting request from its shard's
 //     queue whenever the device has free pool bytes and a free slot —
@@ -41,10 +42,13 @@
 //     Execution is netplan.Run — the bit-exact whole-network verification
 //     executor — through the server's bounded plan cache (ExecDryRun
 //     skips the kernels for pure admission-control load tests).
-//   - Metrics. A snapshot struct reports throughput, sojourn-latency
-//     percentiles, per-shard queue state, per-device pool utilization,
-//     churn and degraded-mode counters, and every rejection class, plus
-//     the plan cache's hit/miss/eviction counters.
+//   - Metrics. Every counter and gauge lives in always-on obs metric
+//     families (instruments.go), exported on /metrics when a tracer is
+//     installed. The Metrics snapshot is derived from those families
+//     plus live queue and pool state: throughput, trailing-window
+//     sojourn-latency percentiles, per-shard queue state, per-device pool
+//     utilization, churn and degraded-mode counters, and every rejection
+//     class, plus the plan cache's hit/miss/eviction counters.
 //
 // The whole subsystem is safe under -race; the property tests fuzz the
 // ledger invariant (admitted peaks never exceed a pool) under concurrent
@@ -131,9 +135,11 @@ type Options struct {
 	Cache *netplan.Cache
 	// Mode selects what admitted requests execute (default ExecVerify).
 	Mode ExecMode
-	// Tracer opts the server into request-lifecycle tracing and serving
-	// metrics (see trace.go for the span tree). nil (the default) is the
-	// no-op tracer: every instrumented path reduces to a nil check.
+	// Tracer opts the server into request-lifecycle tracing (see trace.go
+	// for the span tree) and hosts the serving metric families on its
+	// registry, so the tracer's snapshot exports them. nil (the default)
+	// records no spans; the families then live on a private registry
+	// that only Metrics reads.
 	Tracer *obs.Tracer
 }
 
@@ -180,7 +186,7 @@ type model struct {
 	variants []modelVariant
 	minPeak  int
 	// hLatency is the model's labeled sojourn-latency histogram handle,
-	// resolved once at registration (nil no-op without a tracer).
+	// resolved once at registration.
 	hLatency *obs.Histogram
 	// hQueueFull and hNoDevice are the submit-rejection outcome handles,
 	// resolved at registration: at the saturation cliff nearly every
@@ -247,7 +253,7 @@ type device struct {
 	dead     bool
 	removed  bool
 	// Labeled gauge handles for the device's pool occupancy and capacity,
-	// resolved once at fleet join (nil no-ops without a tracer).
+	// resolved once at fleet join.
 	hPoolUsed *obs.Gauge
 	hPoolCap  *obs.Gauge
 }
@@ -257,7 +263,8 @@ type Server struct {
 	mode         ExecMode
 	cache        *netplan.Cache
 	tr           *obs.Tracer      // nil unless Options.Tracer opted in
-	ins          serveInstruments // labeled metric families; all-nil without a tracer
+	reg          *obs.Registry    // the tracer's registry, or a private one
+	ins          serveInstruments // metric families on reg
 	queueCap     int              // per shard
 	degradeDepth int              // per-shard degraded-mode engage threshold
 	started      time.Time
@@ -272,16 +279,14 @@ type Server struct {
 	outcomeHandles atomic.Pointer[map[outcomeKey]*obs.Counter]
 	outcomeMu      sync.Mutex
 
-	mu               sync.Mutex
-	models           map[string]*model // guarded by Server.mu
-	shards           []*shard          // append-only; membership guarded by Server.mu
-	devNames         map[string]bool   // live device names; guarded by Server.mu
-	devSeq           int               // default device-name counter; guarded by Server.mu
-	maxPool          int               // largest pool ever seen; guarded by Server.mu
-	refProfile       mcu.Profile       // registration pricing profile; guarded by Server.mu
-	closed           bool              // guarded by Server.mu
-	rejectedFull     uint64            // guarded by Server.mu
-	rejectedTooLarge uint64            // guarded by Server.mu
+	mu         sync.Mutex
+	models     map[string]*model // guarded by Server.mu
+	shards     []*shard          // append-only; membership guarded by Server.mu
+	devNames   map[string]bool   // live device names; guarded by Server.mu
+	devSeq     int               // default device-name counter; guarded by Server.mu
+	maxPool    int               // largest pool ever seen; guarded by Server.mu
+	refProfile mcu.Profile       // registration pricing profile; guarded by Server.mu
+	closed     bool              // guarded by Server.mu
 
 	// testExecGate, when set (tests only, before any Submit), is called at
 	// the top of every execution so churn tests can hold a request
@@ -337,9 +342,13 @@ func NewServer(opts Options) (*Server, error) {
 		devNames:     make(map[string]bool),
 		started:      time.Now(),
 	}
-	// Register the labeled families before any shard or device exists:
+	// Register the families before any shard or device exists:
 	// addDeviceLocked resolves per-shard and per-device handles from them.
-	s.ins = newServeInstruments(opts.Tracer)
+	s.reg = opts.Tracer.Registry()
+	if s.reg == nil {
+		s.reg = obs.NewRegistry()
+	}
+	s.ins = newServeInstruments(s.reg)
 	var devices []*device
 	s.mu.Lock()
 	for _, dc := range opts.Devices {
@@ -385,7 +394,7 @@ func (s *Server) Register(name string, net graph.Network, cfg ModelConfig) error
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if minPeak > s.maxPool {
-		s.rejectedTooLarge++
+		s.ins.tooLarge.Inc()
 		return fmt.Errorf("serve: model %s needs %d bytes, largest pool is %d: %w",
 			name, minPeak, s.maxPool, ErrTooLarge)
 	}
@@ -537,7 +546,6 @@ func (s *Server) Submit(modelName string, opts SubmitOptions) (*Ticket, error) {
 			sh.mu.Unlock()
 			continue
 		}
-		sh.m.submitted++
 		s.traceEnqueued(sh, req, submitSpan)
 		s.enqueueLocked(sh, req)
 		sh.mu.Unlock()
@@ -552,19 +560,16 @@ func (s *Server) Submit(modelName string, opts SubmitOptions) (*Ticket, error) {
 	res := Result{Model: mdl.name, PeakBytes: req.peak}
 	switch {
 	case sawFull:
-		s.mu.Lock()
-		s.rejectedFull++
-		s.mu.Unlock()
-		s.traceSubmitRejected(req, submitSpan, "rejected-queue-full")
+		s.traceSubmitRejected(req, submitSpan, outcomeQueueFull)
 		err := fmt.Errorf("%w (cap %d per shard)", ErrQueueFull, s.queueCap)
 		req.resolve(res, err, StateRejected)
 		return nil, err
 	case sawClosed:
-		s.traceSubmitRejected(req, submitSpan, "rejected-closed")
+		s.traceSubmitRejected(req, submitSpan, outcomeClosed)
 		req.resolve(res, ErrClosed, StateRejected)
 		return nil, ErrClosed
 	default:
-		s.traceSubmitRejected(req, submitSpan, "rejected-no-device")
+		s.traceSubmitRejected(req, submitSpan, outcomeNoDevice)
 		err := fmt.Errorf("%w: no usable device pool fits model %s (needs %d bytes)",
 			ErrDeviceLost, mdl.name, req.peak)
 		req.resolve(res, err, StateRejected)
@@ -668,19 +673,6 @@ func (s *Server) admitLocked(sh *shard, d *device, req *request) {
 	d.tracePoolUsed()
 	sh.noteQueueChangedLocked(s.degradeDepth)
 	s.traceAdmit(sh, d, req, degraded)
-	if degraded {
-		sh.m.degradedAdmissions++
-	}
-	if v.peak > req.mdl.minPeak {
-		sh.m.variantUpgrades++
-	}
-	if req.latencyBudget > 0 {
-		if req.metBudget {
-			sh.m.latencyBudgetMet++
-		} else {
-			sh.m.latencyBudgetMissed++
-		}
-	}
 	req.admittedAt = time.Now()
 	req.setState(StateAdmitted)
 	d.active++
@@ -750,13 +742,9 @@ func (s *Server) execute(d *device, req *request) {
 		if freed != req.peak && err == nil {
 			err = fmt.Errorf("serve: ledger released %d bytes for request %d, reserved %d", freed, req.id, req.peak)
 		}
-		if err != nil {
-			sh.m.failed++
-		} else {
-			sh.m.completed++
+		if err == nil {
 			d.completed++
 		}
-		sh.m.sampleLatency(now.Sub(req.submitted))
 	}
 	sh.cond.Broadcast()
 	sh.mu.Unlock()
@@ -800,8 +788,7 @@ func (s *Server) cancel(r *request) bool {
 		sh.mu.Unlock()
 		return false
 	}
-	sh.m.canceled++
-	s.traceQueueExit(sh, r, "canceled")
+	s.traceQueueExit(sh, r, outcomeCanceled)
 	sh.noteQueueChangedLocked(s.degradeDepth)
 	sh.cond.Broadcast()
 	sh.mu.Unlock()

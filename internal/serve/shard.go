@@ -12,7 +12,7 @@ import (
 
 // shard is one device group's admission domain. Devices sharing an
 // mcu.Profile form a group with its own queue, lock, condition variable,
-// and metrics block, so dispatchers of one group never contend with
+// and metric handles, so dispatchers of one group never contend with
 // another group's submit/dispatch traffic — the whole-fleet Server.mu
 // bottleneck is gone. Requests are routed to the least-loaded eligible
 // shard at submit time; within a shard, devices still work-steal from the
@@ -35,21 +35,26 @@ type shard struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	devices  []*device    // guarded by shard.mu
-	q        prioQueue    // guarded by shard.mu
-	seq      uint64       // enqueue sequence, the FIFO tiebreak; guarded by shard.mu
-	degraded bool         // guarded by shard.mu
-	closed   bool         // guarded by shard.mu
-	m        metricsState // guarded by shard.mu
+	devices  []*device // guarded by shard.mu
+	q        prioQueue // guarded by shard.mu
+	seq      uint64    // enqueue sequence, the FIFO tiebreak; guarded by shard.mu
+	degraded bool      // guarded by shard.mu
+	closed   bool      // guarded by shard.mu
 
 	// Labeled metric handles for this shard's labelset, resolved once at
-	// shard creation (nil no-ops without a tracer). The handles are
-	// immutable; the instruments carry their own synchronization.
+	// shard creation. The handles are immutable; the instruments carry
+	// their own synchronization. hQueueHighWater is only set under
+	// shard.mu, so its read-compare-set in enqueueLocked cannot race.
 	hQueueDepth         *obs.Gauge
+	hQueueHighWater     *obs.Gauge
 	hDegraded           *obs.Gauge
 	hRequeued           *obs.Counter
 	hVariantUpgrades    *obs.Counter
 	hDegradedAdmissions *obs.Counter
+	hDegradedEngaged    *obs.Counter
+	hBudgetMet          *obs.Counter
+	hBudgetMissed       *obs.Counter
+	hDeviceCrashes      *obs.Counter
 
 	// Per-model counter handles for the two per-request counters bumped
 	// while holding shard.mu (enqueue's submitted, deadline-shed's
@@ -112,7 +117,7 @@ func (sh *shard) noteQueueChangedLocked(degradeDepth int) {
 	sh.hQueueDepth.Set(float64(sh.q.count))
 	if !sh.degraded && sh.q.count >= degradeDepth {
 		sh.degraded = true
-		sh.m.degradedEngaged++
+		sh.hDegradedEngaged.Inc()
 		sh.hDegraded.Set(1)
 	} else if sh.degraded && sh.q.count <= degradeDepth/2 {
 		sh.degraded = false
@@ -159,8 +164,8 @@ func (s *Server) enqueueLocked(sh *shard, req *request) {
 	sh.seq++
 	req.seq = sh.seq
 	sh.q.push(req)
-	if sh.q.count > sh.m.queueHighWater {
-		sh.m.queueHighWater = sh.q.count
+	if depth := float64(sh.q.count); depth > sh.hQueueHighWater.Value() {
+		sh.hQueueHighWater.Set(depth)
 	}
 	sh.noteQueueChangedLocked(s.degradeDepth)
 	sh.cond.Broadcast()
@@ -173,7 +178,6 @@ func (s *Server) enqueueLocked(sh *shard, req *request) {
 // unresolved. Runs with shard.mu held.
 func (s *Server) shedExpiredLocked(sh *shard, now time.Time, shed []*request) []*request {
 	sh.q.shed(now, func(req *request) {
-		sh.m.shedDeadline++
 		s.traceShedLocked(sh, req)
 		shed = append(shed, req)
 	})

@@ -6,8 +6,12 @@ import (
 	"github.com/vmcu-project/vmcu/internal/obs"
 )
 
-// Request-lifecycle tracing. When Options.Tracer is set, every accepted
-// submission records a connected span tree:
+// Request-lifecycle metrics and tracing. Each helper below is one
+// lifecycle edge: it bumps the request's metric counters unconditionally
+// (the families are always on, see instruments.go) and records spans and
+// flight work only when a tracer is installed and the request was
+// sampled. When Options.Tracer is set, every sampled submission records
+// a connected span tree:
 //
 //	request                         (root, kind "request")
 //	├── submit                      (Submit body: ticket creation)
@@ -30,7 +34,8 @@ import (
 // requests now resolve instead of leaving orphaned open roots. Every
 // span-touching path runs under the home shard's lock or in the single
 // goroutine owning the request at that stage, so the tracing is
-// race-clean; with a nil tracer every call below is a nil-check no-op.
+// race-clean; with a nil tracer no request is ever sampled, so only the
+// counters run.
 //
 // Lifecycle spans do not hit the tracer as they end: several stages end
 // spans while holding the shard lock on the admission hot path, so each
@@ -62,13 +67,13 @@ import (
 // head sampler (obs.SampleHead) exactly once, when the root span would
 // be created; an unsampled request keeps every span pointer nil and its
 // spanBuf nil — each helper below still bumps its counters (metrics see
-// 100% of traffic at any sample rate) and then returns before touching
-// spans, so the unsampled tracing cost is a few predictable branches
-// and zero allocations. At the terminal edge an unsampled request that
-// ended in an always-keep class (error, deadline, queue-full,
-// no-device, device-lost, degraded) retains a synthetic single-span
-// exemplar via obs.SampleTailKeep, so flight coverage of interesting
-// outcomes stays complete. Sampled requests draw their spanBuf from the
+// 100% of traffic at any sample rate, or with no tracer at all) and then
+// returns before touching spans, so the unsampled tracing cost is a few
+// predictable branches and zero allocations. At the terminal edge an
+// unsampled request that ended in an always-keep class (error,
+// deadline, queue-full, no-device, device-lost, degraded) retains a
+// synthetic single-span exemplar via obs.SampleTailKeep, so flight
+// coverage of interesting outcomes stays complete. Sampled requests draw their spanBuf from the
 // obs buffer pool; RecordTree recycles it, which is why flightDone
 // clears req.spanBuf — nothing may touch the buffer after its flush.
 
@@ -92,8 +97,7 @@ type outcomeKey struct {
 // pay With()'s label-key join per call; the cache makes every hit a
 // lock-free map read on a comparable key, and the cardinality is bounded
 // by the same label set the family itself bounds (models × shards ×
-// outcome states). Nil counters cache fine (a nil tracer's With returns
-// nil and Inc on nil is a no-op).
+// outcome states).
 func (s *Server) outcomeCounter(m *model, shard, outcome string) *obs.Counter {
 	k := outcomeKey{m: m, shard: shard, outcome: outcome}
 	if cur := s.outcomeHandles.Load(); cur != nil {
@@ -118,15 +122,6 @@ func (s *Server) outcomeCounter(m *model, shard, outcome string) *obs.Counter {
 	next[k] = h
 	s.outcomeHandles.Store(&next)
 	return h
-}
-
-// latencyHistBoundsMs mirrors latencyBuckets for the tracer's histogram.
-func latencyHistBoundsMs() []float64 {
-	out := make([]float64, len(latencyBuckets))
-	for i, b := range latencyBuckets {
-		out[i] = float64(b) / float64(time.Millisecond)
-	}
-	return out
 }
 
 // flightDone is the request's terminal tracing edge. For a sampled
@@ -182,9 +177,6 @@ func (s *Server) traceSubmit(req *request, modelName string) (submit *obs.Span) 
 // traceEnqueued ends the submit span and opens the queue span. Runs with
 // shard.mu held, with the request id assigned.
 func (s *Server) traceEnqueued(sh *shard, req *request, submit *obs.Span) {
-	if s.tr == nil {
-		return
-	}
 	sh.submittedCounterLocked(req.mdl).Inc()
 	if !req.sampled {
 		return
@@ -200,9 +192,6 @@ func (s *Server) traceEnqueued(sh *shard, req *request, submit *obs.Span) {
 // time (queue full / closed / no usable device): no queue span was ever
 // opened, and the request resolves to a terminal state right after.
 func (s *Server) traceSubmitRejected(req *request, submit *obs.Span, reason string) {
-	if s.tr == nil {
-		return
-	}
 	// Submit-time rejections never reached a shard; the shard label is
 	// empty by design, not unknown. The two cliff-dominant outcomes go
 	// through the model's pre-resolved handles.
@@ -230,18 +219,23 @@ func (s *Server) traceSubmitRejected(req *request, submit *obs.Span, reason stri
 	}
 }
 
-// traceAdmit ends the queue span and records the admit stage: variant
-// selection plus the ledger reservation. Runs with shard.mu held, in the
-// admitting dispatcher.
+// traceAdmit counts the admission (degraded mode, variant upgrade,
+// latency budget), ends the queue span, and records the admit stage:
+// variant selection plus the ledger reservation. Runs with shard.mu
+// held, in the admitting dispatcher.
 func (s *Server) traceAdmit(sh *shard, d *device, req *request, degraded bool) {
-	if s.tr == nil {
-		return
-	}
 	if degraded {
 		sh.hDegradedAdmissions.Inc()
 	}
 	if req.variant.peak > req.mdl.minPeak {
 		sh.hVariantUpgrades.Inc()
+	}
+	if req.latencyBudget > 0 {
+		if req.metBudget {
+			sh.hBudgetMet.Inc()
+		} else {
+			sh.hBudgetMissed.Inc()
+		}
 	}
 	if !req.sampled {
 		return
@@ -270,9 +264,6 @@ func (s *Server) traceAdmit(sh *shard, d *device, req *request, degraded bool) {
 // traceQueueExit closes the tree of a request that left the queue without
 // admission (deadline shed or cancel). Runs with shard.mu held.
 func (s *Server) traceQueueExit(sh *shard, req *request, outcome string) {
-	if s.tr == nil {
-		return
-	}
 	s.outcomeCounter(req.mdl, sh.key, outcome).Inc()
 	if req.sampled {
 		req.queueSpan.Attr(obs.Str("outcome", outcome))
@@ -290,9 +281,6 @@ func (s *Server) traceQueueExit(sh *shard, req *request, outcome string) {
 // from the queue; the expensive rest of the tree close happens off-lock
 // in traceShedFinish.
 func (s *Server) traceShedLocked(sh *shard, req *request) {
-	if s.tr == nil {
-		return
-	}
 	sh.shedCounterLocked(req.mdl).Inc()
 	if !req.sampled {
 		return
@@ -309,9 +297,6 @@ func (s *Server) traceShedLocked(sh *shard, req *request) {
 // request's sole owner, so the root close and the flight flush happen
 // off the admission path.
 func (s *Server) traceShedFinish(req *request) {
-	if s.tr == nil {
-		return
-	}
 	if req.sampled {
 		req.rootSpan.Attr(obs.Str("state", outcomeShedDeadline))
 		req.rootSpan.EndTo(req.spanBuf)
@@ -324,7 +309,7 @@ func (s *Server) traceShedFinish(req *request) {
 // without closing the root: the request is about to be re-routed or
 // resolved with ErrDeviceLost. Runs with shard.mu held.
 func (s *Server) traceEvacuated(sh *shard, req *request) {
-	if s.tr == nil || !req.sampled {
+	if !req.sampled {
 		return
 	}
 	req.queueSpan.Attr(obs.Str("outcome", "evacuated"))
@@ -337,9 +322,6 @@ func (s *Server) traceEvacuated(sh *shard, req *request) {
 // admit/dispatch/execute run. Runs with shard.mu held (the receiving
 // shard's).
 func (s *Server) traceRequeue(sh *shard, req *request, from string) {
-	if s.tr == nil {
-		return
-	}
 	sh.hRequeued.Inc()
 	if !req.sampled {
 		return
@@ -351,16 +333,14 @@ func (s *Server) traceRequeue(sh *shard, req *request, from string) {
 	)
 }
 
-// traceDeviceLost closes the tree of a request stranded by churn: its
-// device crashed mid-request (or every candidate pool left) and no
-// surviving device absorbed it. Runs in the goroutine owning the request
-// (executor unwind or the churn call itself); the queue span, if any, was
-// already ended by traceEvacuated.
-func (s *Server) traceDeviceLost(req *request, devName string) {
-	if s.tr == nil {
-		return
-	}
-	s.outcomeCounter(req.mdl, "", outcomeDeviceLost).Inc()
+// traceDeviceLost counts and closes the tree of a request stranded by
+// churn: its device crashed mid-request (or every candidate pool left)
+// and no surviving device absorbed it. The outcome is charged to sh.
+// Runs in the goroutine owning the request (executor unwind or the churn
+// call itself); the queue span, if any, was already ended by
+// traceEvacuated.
+func (s *Server) traceDeviceLost(sh *shard, req *request, devName string) {
+	s.outcomeCounter(req.mdl, sh.key, outcomeDeviceLost).Inc()
 	if req.sampled {
 		req.rootSpan.Attr(
 			obs.Str("state", outcomeDeviceLost),
@@ -374,7 +354,7 @@ func (s *Server) traceDeviceLost(req *request, devName string) {
 // traceExecuteStart ends the dispatch span and opens the execute span in
 // the executor goroutine.
 func (s *Server) traceExecuteStart(d *device, req *request) *obs.Span {
-	if s.tr == nil || !req.sampled {
+	if !req.sampled {
 		return nil
 	}
 	req.dispatchSpan.EndTo(req.spanBuf)
@@ -385,14 +365,11 @@ func (s *Server) traceExecuteStart(d *device, req *request) *obs.Span {
 	return exec
 }
 
-// traceComplete records the completion stage (ledger release + metrics),
-// closes the root span, and decides the flight-retention outcome. Runs
-// in the executor goroutine after the request resolved its outcome
-// fields.
+// traceComplete counts the terminal outcome and its sojourn latency,
+// records the completion stage (ledger release + metrics), closes the
+// root span, and decides the flight-retention outcome. Runs in the
+// executor goroutine after the request resolved its outcome fields.
 func (s *Server) traceComplete(d *device, req *request, freed int, latency time.Duration, err error) {
-	if s.tr == nil {
-		return
-	}
 	state := outcomeDone
 	if err != nil {
 		state = outcomeFailed
@@ -414,6 +391,9 @@ func (s *Server) traceComplete(d *device, req *request, freed int, latency time.
 
 	latMs := float64(latency) / float64(time.Millisecond)
 	req.mdl.hLatency.Observe(latMs)
+	if s.tr == nil {
+		return
+	}
 	switch {
 	case err != nil:
 		s.flightDone(req, "error")

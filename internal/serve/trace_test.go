@@ -219,16 +219,25 @@ func TestTracedQueueExits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The first request is held mid-flight until the queue scenarios are
+	// staged behind it: a tiny request would otherwise finish first.
+	const occupySeed = 1
+	occupy := newExecGate(func(*device) bool { return true })
+	s.testExecGate = func(d *device, r *request) {
+		if r.seed == occupySeed {
+			occupy.hook(d, r)
+		}
+	}
 	if err := s.Register("tiny", tinyModel(), ModelConfig{}); err != nil {
 		t.Fatal(err)
 	}
 
 	// First request occupies the only slot (pool fits exactly one peak).
-	tk1, err := s.Submit("tiny", SubmitOptions{Seed: 1})
+	tk1, err := s.Submit("tiny", SubmitOptions{Seed: occupySeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitResident(t, tk1)
+	occupy.waitHeld(t, 1)
 
 	// Second request: already-expired deadline — the next dispatcher scan
 	// sheds it before it can be admitted.
@@ -252,6 +261,7 @@ func TestTracedQueueExits(t *testing.T) {
 	if !tkQueued.Cancel() {
 		t.Fatal("cancel lost the race against admission (pool admits one request at a time)")
 	}
+	close(occupy.release)
 	if _, err := tk1.Result(); err != nil {
 		t.Fatal(err)
 	}
@@ -302,48 +312,49 @@ func TestTracedQueueExits(t *testing.T) {
 	}
 }
 
-// TestLatencyHistogramBuckets pins the Metrics histogram's le bucket
-// semantics (a completion exactly on a bound lands in that bound's
-// bucket), the overflow bucket, and the width invariant against the
-// exported bounds — including the width > samples degenerate cases.
+// TestLatencyHistogramBuckets pins the le bucket semantics of
+// vmcu_serve_latency_ms as the server observes it (a completion exactly
+// on a bound lands in that bound's bucket) and its overflow bucket.
 func TestLatencyHistogramBuckets(t *testing.T) {
-	var m metricsState
+	reg := obs.NewRegistry()
+	ins := newServeInstruments(reg)
+	last := len(latencyBoundsMs)
 	cases := []struct {
 		d      time.Duration
 		bucket int
 	}{
-		{500 * time.Microsecond, 0},                 // below the first bound
-		{1 * time.Millisecond, 0},                   // exactly on the first bound
-		{1*time.Millisecond + 1, 1},                 // just past it
-		{20 * time.Millisecond, 4},                  // interior bound, exact
-		{30 * time.Second, len(latencyBuckets) - 1}, // last bound, exact
-		{31 * time.Second, len(latencyBuckets)},     // overflow bucket
+		{500 * time.Microsecond, 0},              // below the first bound
+		{1 * time.Millisecond, 0},                // exactly on the first bound
+		{1*time.Millisecond + 1, 1},              // just past it
+		{20 * time.Millisecond, 4},               // interior bound, exact
+		{30 * time.Second, last - 1},             // last bound, exact
+		{31 * time.Second, last},                 // overflow bucket
+		{30*time.Second + time.Nanosecond, last}, // just past the last bound
 	}
-	var wantSum time.Duration
+	want := make([]uint64, last+1)
 	for _, c := range cases {
-		if got := latencyBucketIndex(c.d); got != c.bucket {
-			t.Errorf("latencyBucketIndex(%v) = %d, want %d", c.d, got, c.bucket)
+		ins.latency.With("m").Observe(float64(c.d) / float64(time.Millisecond))
+		want[c.bucket]++
+	}
+	var h *obs.HistogramData
+	for _, f := range reg.Families() {
+		if f.Name == metricLatencyMs {
+			h = f.Series[0].Hist
 		}
-		m.sampleLatency(c.d)
-		wantSum += c.d
 	}
-	if m.latTotal != uint64(len(cases)) || m.latSum != wantSum {
-		t.Fatalf("total/sum = %d/%v, want %d/%v", m.latTotal, m.latSum, len(cases), wantSum)
+	if h == nil || h.Count != uint64(len(cases)) {
+		t.Fatalf("latency histogram = %+v, want %d observations", h, len(cases))
 	}
-	var gotTotal uint64
-	for _, c := range m.latHist {
-		gotTotal += c
-	}
-	if gotTotal != uint64(len(cases)) {
-		t.Fatalf("histogram counts sum to %d, want %d", gotTotal, len(cases))
-	}
-	if m.latHist[0] != 2 || m.latHist[len(latencyBuckets)] != 1 {
-		t.Errorf("boundary bucketing wrong: %v", m.latHist)
+	for i := range want {
+		if h.Counts[i] != want[i] {
+			t.Errorf("bucket %d (le %v) = %d, want %d", i, h.Bounds[min(i, last-1)], h.Counts[i], want[i])
+		}
 	}
 }
 
-// TestMetricsLatencyHistogramExport proves the server snapshot exports the
-// bucketed histogram consistently with its scalar counters.
+// TestMetricsLatencyHistogramExport proves an untraced server still keeps
+// the bucketed latency histogram (vmcu_serve_latency_ms) consistently
+// with its scalar counters.
 func TestMetricsLatencyHistogramExport(t *testing.T) {
 	s, err := NewServer(Options{
 		Devices: []DeviceConfig{{Name: "m4", Profile: mcu.CortexM4()}},
@@ -368,10 +379,18 @@ func TestMetricsLatencyHistogramExport(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	h := s.Metrics().LatencyHistogram
-	if len(h.Bounds) != len(latencyBuckets) || len(h.Counts) != len(latencyBuckets)+1 {
-		t.Fatalf("histogram shape bounds=%d counts=%d, want %d/%d",
-			len(h.Bounds), len(h.Counts), len(latencyBuckets), len(latencyBuckets)+1)
+	m := s.Metrics()
+	if m.Completed != n {
+		t.Fatalf("completed %d, want %d", m.Completed, n)
+	}
+	var h *obs.HistogramData
+	for _, f := range s.reg.Families() {
+		if f.Name == metricLatencyMs && len(f.Series) == 1 {
+			h = f.Series[0].Hist
+		}
+	}
+	if h == nil || len(h.Bounds) != len(latencyBoundsMs) || len(h.Counts) != len(latencyBoundsMs)+1 {
+		t.Fatalf("histogram shape %+v, want %d bounds", h, len(latencyBoundsMs))
 	}
 	var total uint64
 	for _, c := range h.Counts {

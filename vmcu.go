@@ -360,9 +360,10 @@ type ServeResult = serve.Result
 // canceled, and device-lost as the terminal failure exits).
 type RequestState = serve.State
 
-// ServeMetrics is the server snapshot: throughput, latency percentiles,
-// queue depth, per-device pool utilization, rejection counts, and plan
-// cache stats.
+// ServeMetrics is the server snapshot, derived from the server's
+// always-on metric families: throughput, trailing-window latency
+// percentiles, queue depth, per-device pool utilization, rejection
+// counts, and plan cache stats.
 type ServeMetrics = serve.Metrics
 
 // ServeDeviceMetrics is one fleet device's snapshot within ServeMetrics.
@@ -418,9 +419,9 @@ func MemoryProfile(profile Profile, h, c, k int, seed int64, width, height int) 
 
 // Tracer is the opt-in observability spine (internal/obs): bounded
 // ring-buffer span storage over two clocks (host wall time and simulated
-// device cycles) plus counters, gauges, and histograms. A nil *Tracer is
-// a valid no-op — every recording method returns immediately — so
-// instrumented paths cost nothing when tracing is off. Attach one via
+// device cycles) plus a registry of labeled metric families. A nil
+// *Tracer is a valid no-op — every recording method returns immediately —
+// so instrumented paths cost nothing when tracing is off. Attach one via
 // ServeOptions.Tracer or ScheduleOptions.Tracer, snapshot it with
 // Tracer.Snapshot, and export with WriteChromeTrace / WritePrometheus.
 // See DESIGN.md §5f.
@@ -430,7 +431,7 @@ type Tracer = obs.Tracer
 type TracerOptions = obs.Options
 
 // TraceSnapshot is a consistent copy of a tracer's recorded state: spans
-// (oldest first), drop accounting, occupancy series, and metric values.
+// (oldest first), drop accounting, occupancy series, and metric families.
 type TraceSnapshot = obs.Snapshot
 
 // SpanData is one recorded span: identity (span/parent/trace IDs), name,
@@ -449,8 +450,8 @@ func WriteChromeTrace(w io.Writer, snap *TraceSnapshot) error {
 	return obs.WriteChromeTrace(w, snap)
 }
 
-// WritePrometheus exports a snapshot's counters, gauges, and histograms
-// in the Prometheus text exposition format.
+// WritePrometheus exports a snapshot's metric families (counters, gauges,
+// and histograms) in the Prometheus text exposition format.
 func WritePrometheus(w io.Writer, snap *TraceSnapshot) error {
 	return obs.WritePrometheus(w, snap)
 }
