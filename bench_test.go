@@ -170,7 +170,8 @@ func BenchmarkSegmentPoolAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkDotIntrinsic measures the packed SMLAD dot-product path.
+// BenchmarkDotIntrinsic measures DotVec on 64-element operands: the exact
+// int32 dot product plus its closed-form MAC/ALU charge.
 func BenchmarkDotIntrinsic(b *testing.B) {
 	dev := mcu.New(mcu.CortexM4(), 0)
 	pool, _ := seg.NewPool(dev, 0, 64, 16)
@@ -182,6 +183,44 @@ func BenchmarkDotIntrinsic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ctx.DotVec(x, y, &acc)
 	}
+}
+
+// BenchmarkRunVerifiedVWW executes the whole VWW backbone through
+// netplan.Run on the Cortex-M4 profile, seed i on iteration i, every unit
+// checked against its golden reference and the shadow state. Metric: host
+// nanoseconds per simulated device cycle.
+func BenchmarkRunVerifiedVWW(b *testing.B) { benchRunVerified(b, VWW()) }
+
+// BenchmarkRunVerifiedImageNet is BenchmarkRunVerifiedVWW on the ImageNet
+// backbone (split region and streamed seams included).
+func BenchmarkRunVerifiedImageNet(b *testing.B) { benchRunVerified(b, ImageNet()) }
+
+// benchRunVerified fails unless every run verifies bit-exactly with zero
+// shadow-state violations. The plan is cached before timing starts.
+func benchRunVerified(b *testing.B, net Network) {
+	prof := mcu.CortexM4()
+	cache := netplan.NewCache()
+	if _, _, err := cache.Plan(net, netplan.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	var cycles float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := netplan.Run(prof, net, int64(i), netplan.Options{}, cache)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.AllVerified || res.Violations != 0 {
+			b.Fatalf("seed %d: verified=%v violations=%d", i, res.AllVerified, res.Violations)
+		}
+		for _, units := range [][]graph.ExecResult{res.Modules, res.Seams} {
+			for _, r := range units {
+				cycles += r.Stats.Cycles(prof)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/cycles, "host-ns/cycle")
 }
 
 // BenchmarkFusedBottleneckKernel executes the smallest VWW module

@@ -4,6 +4,13 @@
 // accounting. RAMLoad/RAMStore include the circular-buffer boundary check
 // (a modulo, charged by the pool) and a branch; Dot is the fixed-size
 // 2×2×16 int8 matrix multiply that lowers to SXTB16/SMLAD sequences on ARM.
+//
+// The host computes every dot product as the plain int32 sum of int8
+// products. That is bit-identical to the SXTB16/ROR/SMLAD sequence
+// (mcu.DotInt8x4): each product fits an int16 lane, and int32 addition
+// wraps the same way in any order. The sequence still defines the charged
+// cost, one MAC and one widening ALU op per element, and it is the oracle
+// the tests check the intrinsics against.
 package intrin
 
 import (
@@ -76,14 +83,19 @@ func (c *Ctx) RAMFree(off, n int, owner mcu.TensorID) {
 	c.Dev.CountBranches(1)
 }
 
+// flashView checks that [off, off+n) lies inside blob ref and returns those
+// Flash bytes, charging their read traffic. It is nil when the device
+// recorded an out-of-bounds violation instead.
+func (c *Ctx) flashView(op string, ref mcu.FlashRef, off, n int) []byte {
+	if off < 0 || off+n > ref.Len {
+		panic(fmt.Sprintf("intrin: %s [%d,%d) outside blob of %d bytes", op, off, off+n, ref.Len))
+	}
+	return c.Dev.FlashView(ref.Off+off, n)
+}
+
 // FlashLoad reads n int8 weights from Flash at ref.Off+off into dst.
 func (c *Ctx) FlashLoad(dst []int8, ref mcu.FlashRef, off int) {
-	if off < 0 || off+len(dst) > ref.Len {
-		panic(fmt.Sprintf("intrin: flash load [%d,%d) outside blob of %d bytes", off, off+len(dst), ref.Len))
-	}
-	buf := c.stage(len(dst))
-	c.Dev.FlashRead(ref.Off+off, buf)
-	for i, b := range buf {
+	for i, b := range c.flashView("flash load", ref, off, len(dst)) {
 		dst[i] = int8(b)
 	}
 }
@@ -91,15 +103,9 @@ func (c *Ctx) FlashLoad(dst []int8, ref mcu.FlashRef, off int) {
 // FlashLoadInt32 reads n little-endian int32 values (bias vectors) from
 // Flash at ref.Off + 4*off.
 func (c *Ctx) FlashLoadInt32(dst []int32, ref mcu.FlashRef, off int) {
-	byteOff := 4 * off
-	n := 4 * len(dst)
-	if byteOff < 0 || byteOff+n > ref.Len {
-		panic(fmt.Sprintf("intrin: flash load32 [%d,%d) outside blob of %d bytes", byteOff, byteOff+n, ref.Len))
-	}
-	buf := c.stage(n)
-	c.Dev.FlashRead(ref.Off+byteOff, buf)
-	for i := range dst {
-		b := buf[4*i:]
+	buf := c.flashView("flash load32", ref, 4*off, 4*len(dst))
+	for i := range dst[:len(buf)/4] {
+		b := buf[4*i : 4*i+4]
 		dst[i] = int32(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
 	}
 }
@@ -110,27 +116,44 @@ func (c *Ctx) Broadcast(v int16) uint32 {
 	return mcu.Broadcast16(v)
 }
 
-// DotVec accumulates the int8 dot product of a and b into *acc using the
-// packed SXTB16/SMLAD sequence in chunks of four (the scalar tail uses
-// single MACs). It charges 2 MACs per SMLAD plus the widening ALU ops.
+// DotVec accumulates the int8 dot product of a and b into *acc, charging
+// the packed SXTB16/SMLAD sequence's cost.
 func (c *Ctx) DotVec(a, b []int8, acc *int32) {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("intrin: dot of mismatched lengths %d, %d", len(a), len(b)))
 	}
-	n := len(a)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		pa := mcu.PackBytes(a[i], a[i+1], a[i+2], a[i+3])
-		pb := mcu.PackBytes(b[i], b[i+1], b[i+2], b[i+3])
-		*acc = mcu.DotInt8x4(pa, pb, *acc)
-		c.Dev.CountMACs(4) // two SMLADs
-		c.Dev.CountALU(4)  // SXTB16 + ROR widening
+	*acc = dot(*acc, a, b)
+	c.chargeDot(len(a))
+}
+
+// FlashDot accumulates the dot product of a with the len(a) int8 weights
+// at ref.Off+off into *acc, reading them in place in Flash. It charges
+// exactly what FlashLoad followed by DotVec does: len(a) Flash bytes, MACs
+// and ALU ops. After an out-of-bounds device read, which the device
+// records as a violation, *acc is left unchanged.
+func (c *Ctx) FlashDot(a []int8, ref mcu.FlashRef, off int, acc *int32) {
+	if w := c.flashView("flash dot", ref, off, len(a)); w != nil {
+		*acc = dot(*acc, a, w)
 	}
-	for ; i < n; i++ {
-		*acc += int32(a[i]) * int32(b[i])
-		c.Dev.CountMACs(1)
-		c.Dev.CountALU(1)
+	c.chargeDot(len(a))
+}
+
+// chargeDot charges an n-element dot product: per group of four, two
+// SMLADs (four MACs) and four SXTB16/ROR widening ops; per tail element,
+// one MAC and one ALU op.
+func (c *Ctx) chargeDot(n int) {
+	c.Dev.CountMACs(n)
+	c.Dev.CountALU(n)
+}
+
+// dot returns acc plus the dot product of a and b[:len(a)], reading Flash
+// bytes as int8.
+func dot[T int8 | byte](acc int32, a []int8, b []T) int32 {
+	b = b[:len(a)]
+	for i, x := range a {
+		acc += int32(x) * int32(int8(b[i]))
 	}
+	return acc
 }
 
 // Dot is the paper's fixed-size 2×2×16 matrix-multiply intrinsic:

@@ -2,6 +2,7 @@ package intrin
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -159,6 +160,125 @@ func TestDotVecChargesMACs(t *testing.T) {
 	c.DotVec(make([]int8, 19), make([]int8, 19), &acc)
 	if c.Dev.Stats.MACs != 19 {
 		t.Errorf("MACs = %d, want 19", c.Dev.Stats.MACs)
+	}
+}
+
+// refDot is the target's lowering of a dot product: mcu.DotInt8x4 (the
+// SXTB16/ROR/SMLAD sequence) over packed groups of four, then a scalar
+// multiply-accumulate tail.
+func refDot(a, b []int8, acc int32) int32 {
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		acc = mcu.DotInt8x4(mcu.PackBytes(a[i], a[i+1], a[i+2], a[i+3]),
+			mcu.PackBytes(b[i], b[i+1], b[i+2], b[i+3]), acc)
+	}
+	for ; i < len(a); i++ {
+		acc += int32(a[i]) * int32(b[i])
+	}
+	return acc
+}
+
+// TestDotMatchesSMLADChain checks DotVec and FlashDot against the SMLAD
+// chain for every length 0..67 on random, all −128, all +127 and
+// −128×+127 operands, with accumulators near both int32 rails so the sum
+// wraps. FlashDot must charge exactly what FlashLoad then DotVec charge.
+func TestDotMatchesSMLADChain(t *testing.T) {
+	c := newCtx(t)
+	rng := rand.New(rand.NewSource(11))
+	accs := []int32{0, -7, math.MaxInt32, math.MaxInt32 - 5000, math.MinInt32, math.MinInt32 + 5000}
+	flip := false
+	fills := []struct {
+		name string
+		next func() int8
+	}{
+		{"random", func() int8 { return int8(rng.Intn(256) - 128) }},
+		{"all -128", func() int8 { return -128 }},
+		{"all +127", func() int8 { return 127 }},
+		{"-128 x +127", func() int8 {
+			flip = !flip
+			if flip {
+				return -128
+			}
+			return 127
+		}},
+	}
+	for n := 0; n <= 67; n++ {
+		for _, f := range fills {
+			a, b := make([]int8, n), make([]int8, n)
+			for i := range a {
+				a[i], b[i] = f.next(), f.next()
+			}
+			// The weight row sits 3 bytes into its blob, as a kernel's rows
+			// sit inside one weight tensor.
+			blob := []byte{0xAA, 0x55, 0x80}
+			for _, v := range b {
+				blob = append(blob, byte(v))
+			}
+			ref, err := c.Dev.FlashAlloc(append(blob, 0x7F))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, acc0 := range accs {
+				want := refDot(a, b, acc0)
+
+				got, before := acc0, c.Dev.Stats
+				c.DotVec(a, b, &got)
+				cost := c.Dev.Stats.Sub(before)
+				if got != want || cost != (mcu.Stats{MACs: uint64(n), ALUOps: uint64(n)}) {
+					t.Fatalf("%s n=%d acc=%d: DotVec = %d charging %+v; SMLAD chain = %d", f.name, n, acc0, got, cost, want)
+				}
+
+				w, pair := make([]int8, n), acc0
+				before = c.Dev.Stats
+				c.FlashLoad(w, ref, 3)
+				c.DotVec(a, w, &pair)
+				pairCost := c.Dev.Stats.Sub(before)
+
+				fused := acc0
+				before = c.Dev.Stats
+				c.FlashDot(a, ref, 3, &fused)
+				fusedCost := c.Dev.Stats.Sub(before)
+				if fused != want || pair != want {
+					t.Fatalf("%s n=%d acc=%d: FlashDot = %d, FlashLoad+DotVec = %d, SMLAD chain = %d",
+						f.name, n, acc0, fused, pair, want)
+				}
+				if fusedCost != pairCost {
+					t.Fatalf("%s n=%d: FlashDot charged %+v, FlashLoad+DotVec %+v", f.name, n, fusedCost, pairCost)
+				}
+			}
+		}
+	}
+	if err := c.Dev.CheckFaults(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlashDotOutOfRange: a read past the blob is a kernel bug and panics,
+// as FlashLoad does; a read past the end of Flash is a device fault that
+// records OutOfBounds, charges no Flash traffic and leaves *acc alone.
+func TestFlashDotOutOfRange(t *testing.T) {
+	c := newCtx(t)
+	ref, err := c.Dev.FlashAlloc([]byte{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("FlashDot past its blob did not panic")
+			}
+		}()
+		var acc int32
+		c.FlashDot(make([]int8, 3), ref, 2, &acc)
+	}()
+	acc := int32(5)
+	c.FlashDot([]int8{1, 1, 1, 1}, mcu.FlashRef{Off: 1<<16 - 2, Len: 8}, 0, &acc)
+	vs, n := c.Dev.Violations()
+	if n != 1 || vs[0].Kind != mcu.OutOfBounds {
+		t.Fatalf("violations = %d %v, want one out-of-bounds", n, vs)
+	}
+	if c.Dev.Stats.FlashReadBytes != 0 || acc != 5 {
+		t.Errorf("out-of-range FlashDot read %d Flash bytes, acc = %d", c.Dev.Stats.FlashReadBytes, acc)
 	}
 }
 

@@ -27,7 +27,6 @@ type Bottleneck struct {
 	w1, wd, w2 mcu.FlashRef
 	b1, bd, b2 mcu.FlashRef
 	loaded     bool
-	scratch    []byte
 }
 
 // NewBottleneck packs the module weights into device Flash.
@@ -209,7 +208,7 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 	}
 
 	aBuf := make([]int8, cfg.Cin)
-	wBuf := make([]int8, maxIntK(cfg.Cin, cfg.Cmid))
+	wBuf := make([]int8, cfg.Cmid) // one depthwise tap
 	bPix := make([]int8, cfg.Cmid)
 	cPix := make([]int8, cfg.Cmid)
 	dPix := make([]int8, cfg.Cout)
@@ -221,15 +220,32 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 	c.FlashLoadInt32(biasD, k.bd, 0)
 	c.FlashLoadInt32(bias2, k.b2, 0)
 
+	// Workspace pixels round-trip through one byte buffer: tagged device
+	// accesses move bytes, the kernel computes on int8. off is the pixel's
+	// byte offset in the workspace, which is also its element index.
+	pixBuf := make([]byte, maxIntK(cfg.Cmid, cfg.Cout))
+	storePix := func(off int, pix []int8) {
+		buf := pixBuf[:len(pix)]
+		for i, v := range pix {
+			buf[i] = byte(v)
+		}
+		c.Dev.WriteTagged(wsBase+off, buf, wsID, off)
+	}
+	loadPix := func(off int, pix []int8) {
+		buf := pixBuf[:len(pix)]
+		c.Dev.ReadTagged(wsBase+off, buf, wsID, off)
+		for i, b := range buf {
+			pix[i] = int8(b)
+		}
+	}
+
 	// computeBPixel evaluates conv1 for one window cell (row r of slot),
 	// or writes zeros for padding cells.
 	computeBPixel := func(slot, r, bh, bw int) {
-		wsPix := wsBase + slot*colBytes + r*cfg.Cmid
+		pixOff := slot*colBytes + r*cfg.Cmid
 		if bh < 0 || bh >= h1 || bw < 0 || bw >= w1 {
-			for i := range bPix {
-				bPix[i] = 0
-			}
-			c.Dev.WriteTagged(wsPix, int8ToBytes(bPix), wsID, wsPix-wsBase)
+			clear(bPix)
+			storePix(pixOff, bPix)
 			return
 		}
 		ah, aw := bh*cfg.S1, bw*cfg.S1
@@ -237,11 +253,10 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 		c.RAMLoad(aBuf, in.Off+elem, in.ID, elem)
 		for n := 0; n < cfg.Cmid; n++ {
 			acc := bias1[n]
-			c.FlashLoad(wBuf[:cfg.Cin], k.w1, n*cfg.Cin)
-			c.DotVec(aBuf, wBuf[:cfg.Cin], &acc)
+			c.FlashDot(aBuf, k.w1, n*cfg.Cin, &acc)
 			bPix[n] = c.Requantize(acc, k.Weights.Req1)
 		}
-		c.Dev.WriteTagged(wsPix, int8ToBytes(bPix), wsID, wsPix-wsBase)
+		storePix(pixOff, bPix)
 	}
 
 	// ensureColumn brings window column bw at base row bh0 into its slot.
@@ -305,10 +320,8 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 						continue
 					}
 					slot := ((bw % cfg.S) + cfg.S) % cfg.S
-					wsPix := wsBase + slot*colBytes + r*cfg.Cmid
-					c.Dev.ReadTagged(wsPix, k.scratchBytes(bPix), wsID, wsPix-wsBase)
-					bytesToInt8(k.scratchBytes(bPix), bPix)
-					c.FlashLoad(wBuf[:cfg.Cmid], k.wd, (r*cfg.S+s)*cfg.Cmid)
+					loadPix(slot*colBytes+r*cfg.Cmid, bPix)
+					c.FlashLoad(wBuf, k.wd, (r*cfg.S+s)*cfg.Cmid)
 					for cc := 0; cc < cfg.Cmid; cc++ {
 						accD[cc] += int32(bPix[cc]) * int32(wBuf[cc])
 					}
@@ -318,22 +331,19 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 			for i := range cPix {
 				cPix[i] = c.Requantize(accD[i], k.Weights.ReqD)
 			}
-			c.Dev.WriteTagged(wsBase+cOff, int8ToBytes(cPix), wsID, cOff)
+			storePix(cOff, cPix)
 
 			// Second pointwise: C pixel -> D pixel.
-			c.Dev.ReadTagged(wsBase+cOff, k.scratchBytes(cPix), wsID, cOff)
-			bytesToInt8(k.scratchBytes(cPix), cPix)
+			loadPix(cOff, cPix)
 			for n := 0; n < cfg.Cout; n++ {
 				acc := bias2[n]
-				c.FlashLoad(wBuf[:cfg.Cmid], k.w2, n*cfg.Cmid)
-				c.DotVec(cPix, wBuf[:cfg.Cmid], &acc)
+				c.FlashDot(cPix, k.w2, n*cfg.Cmid, &acc)
 				dPix[n] = c.Requantize(acc, k.Weights.Req2)
 			}
-			c.Dev.WriteTagged(wsBase+dOff, int8ToBytes(dPix), wsID, dOff)
+			storePix(dOff, dPix)
 
 			// Residual add with the corresponding A pixel, then store E.
-			c.Dev.ReadTagged(wsBase+dOff, k.scratchBytes(dPix), wsID, dOff)
-			bytesToInt8(k.scratchBytes(dPix), dPix)
+			loadPix(dOff, dPix)
 			if residual {
 				elemA := ((p3-span.inRow0)*cfg.W + q3) * cfg.Cin
 				c.RAMLoad(aBuf, in.Off+elemA, in.ID, elemA)
@@ -359,29 +369,6 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 		}
 	}
 	return nil
-}
-
-// scratchBytes returns a byte view buffer sized like the int8 slice (the
-// workspace round-trips through tagged device accesses).
-func (k *Bottleneck) scratchBytes(ref []int8) []byte {
-	if k.scratch == nil || cap(k.scratch) < len(ref) {
-		k.scratch = make([]byte, len(ref))
-	}
-	return k.scratch[:len(ref)]
-}
-
-func int8ToBytes(src []int8) []byte {
-	out := make([]byte, len(src))
-	for i, v := range src {
-		out[i] = byte(v)
-	}
-	return out
-}
-
-func bytesToInt8(src []byte, dst []int8) {
-	for i, b := range src {
-		dst[i] = int8(b)
-	}
 }
 
 func maxIntK(a, b int) int {

@@ -55,7 +55,6 @@ func (k *Conv2D) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error
 	c.Dev.CountCalls(1)
 
 	aBuf := make([]int8, sp.C)
-	wBuf := make([]int8, sp.C)
 	oBuf := make([]int8, sp.K)
 	biasBuf := make([]int32, sp.K)
 	if k.Bias.Len != 0 {
@@ -82,8 +81,7 @@ func (k *Conv2D) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error
 					elem := (ih*sp.W + iw) * sp.C
 					c.RAMLoad(aBuf, in.Off+elem, in.ID, elem)
 					for n := 0; n < sp.K; n++ {
-						c.FlashLoad(wBuf, k.Weight, ((n*sp.R+r)*sp.S+s)*sp.C)
-						c.DotVec(aBuf, wBuf, &acc[n])
+						c.FlashDot(aBuf, k.Weight, ((n*sp.R+r)*sp.S+s)*sp.C, &acc[n])
 					}
 				}
 			}

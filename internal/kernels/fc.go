@@ -67,7 +67,6 @@ func (f *FC) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error) {
 	c.Dev.CountCalls(1)
 
 	aBuf := make([]int8, seg)
-	wBuf := make([]int8, seg)
 	oBuf := make([]int8, seg)
 	biasBuf := make([]int32, seg)
 
@@ -87,8 +86,7 @@ func (f *FC) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error) {
 				c.RAMLoad(aBuf, in.Off+m*f.K+k0, in.ID, m*f.K+k0)
 				// Inner tiling: one weight row per output lane.
 				for ni := 0; ni < seg; ni++ {
-					c.FlashLoad(wBuf, f.Weight, (n0+ni)*f.K+k0)
-					c.DotVec(aBuf, wBuf, &acc[ni])
+					c.FlashDot(aBuf, f.Weight, (n0+ni)*f.K+k0, &acc[ni])
 				}
 			}
 			for i := range oBuf {

@@ -10,7 +10,9 @@ import (
 // to verify the pool kernels bit-exactly. Layouts match the kernels:
 // activations NHWC (row-major H, W, C), FC/pointwise weights [N][K]
 // (output-major, CMSIS convention), conv weights [K][R][S][C], depthwise
-// weights [R][S][C].
+// weights [R][S][C]. The FC, pointwise and depthwise loops walk resliced
+// rows so the compiler drops per-element bounds checks;
+// golden_ref_test.go keeps the index-form loops they are checked against.
 
 // GoldenFC computes Out[M,N] = requant(In[M,K]·Wᵀ + bias).
 func GoldenFC(in []int8, m, k, n int, w []int8, bias []int32, req tensor.Requant) []int8 {
@@ -19,16 +21,7 @@ func GoldenFC(in []int8, m, k, n int, w []int8, bias []int32, req tensor.Requant
 	}
 	out := make([]int8, m*n)
 	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var acc int32
-			if bias != nil {
-				acc = bias[j]
-			}
-			for kk := 0; kk < k; kk++ {
-				acc += int32(in[i*k+kk]) * int32(w[j*k+kk])
-			}
-			out[i*n+j] = req.Apply(acc)
-		}
+		goldenPixel(out[i*n:(i+1)*n], in[i*k:(i+1)*k], w, bias, req)
 	}
 	return out
 }
@@ -36,7 +29,7 @@ func GoldenFC(in []int8, m, k, n int, w []int8, bias []int32, req tensor.Requant
 // GoldenPointwise computes a 1×1 convolution with spatial stride:
 // Out[p,q,n] = requant(Σ_c In[p·stride, q·stride, c]·W[n][c] + bias[n]).
 func GoldenPointwise(in []int8, h, w, c, k, stride int, wt []int8, bias []int32, req tensor.Requant) []int8 {
-	if len(in) != h*w*c || len(wt) != k*c {
+	if len(in) != h*w*c || len(wt) != k*c || (bias != nil && len(bias) != k) {
 		panic("golden: pointwise size mismatch")
 	}
 	oh, ow := ceil(h, stride), ceil(w, stride)
@@ -44,19 +37,27 @@ func GoldenPointwise(in []int8, h, w, c, k, stride int, wt []int8, bias []int32,
 	for p := 0; p < oh; p++ {
 		for q := 0; q < ow; q++ {
 			base := (p*stride*w + q*stride) * c
-			for n := 0; n < k; n++ {
-				var acc int32
-				if bias != nil {
-					acc = bias[n]
-				}
-				for cc := 0; cc < c; cc++ {
-					acc += int32(in[base+cc]) * int32(wt[n*c+cc])
-				}
-				out[(p*ow+q)*k+n] = req.Apply(acc)
-			}
+			pix := (p*ow + q) * k
+			goldenPixel(out[pix:pix+k], in[base:base+c], wt, bias, req)
 		}
 	}
 	return out
+}
+
+// goldenPixel computes one output row of a matrix-vector product,
+// out[j] = requant(in·w[j] + bias[j]), with w laid out [len(out)][len(in)].
+func goldenPixel(out, in, w []int8, bias []int32, req tensor.Requant) {
+	for j := range out {
+		var acc int32
+		if bias != nil {
+			acc = bias[j]
+		}
+		row := w[j*len(in):][:len(in)]
+		for i, x := range in {
+			acc += int32(x) * int32(row[i])
+		}
+		out[j] = req.Apply(acc)
+	}
 }
 
 // GoldenConv2D computes a dense convolution with zero padding:
@@ -98,35 +99,44 @@ func GoldenConv2D(in []int8, h, w, c, k, r, s, stride, pad int, wt []int8, bias 
 }
 
 // GoldenDepthwise computes a depthwise convolution with zero padding:
-// weights laid out [R][S][C].
+// weights laid out [R][S][C]. Channels are the innermost loop: each window
+// tap adds one input pixel times one weight row into a row of per-channel
+// accumulators.
 func GoldenDepthwise(in []int8, h, w, c, r, s, stride, pad int, wt []int8, bias []int32, req tensor.Requant) []int8 {
-	if len(in) != h*w*c || len(wt) != r*s*c {
+	if len(in) != h*w*c || len(wt) != r*s*c || (bias != nil && len(bias) != c) {
 		panic("golden: depthwise size mismatch")
 	}
 	oh := (h+2*pad-r)/stride + 1
 	ow := (w+2*pad-s)/stride + 1
 	out := make([]int8, oh*ow*c)
+	acc := make([]int32, c)
 	for p := 0; p < oh; p++ {
 		for q := 0; q < ow; q++ {
-			for cc := 0; cc < c; cc++ {
-				var acc int32
-				if bias != nil {
-					acc = bias[cc]
+			if bias != nil {
+				copy(acc, bias)
+			} else {
+				clear(acc)
+			}
+			for rr := 0; rr < r; rr++ {
+				ih := p*stride + rr - pad
+				if ih < 0 || ih >= h {
+					continue
 				}
-				for rr := 0; rr < r; rr++ {
-					ih := p*stride + rr - pad
-					if ih < 0 || ih >= h {
+				for ss := 0; ss < s; ss++ {
+					iw := q*stride + ss - pad
+					if iw < 0 || iw >= w {
 						continue
 					}
-					for ss := 0; ss < s; ss++ {
-						iw := q*stride + ss - pad
-						if iw < 0 || iw >= w {
-							continue
-						}
-						acc += int32(in[(ih*w+iw)*c+cc]) * int32(wt[(rr*s+ss)*c+cc])
+					px := in[(ih*w+iw)*c:][:len(acc)]
+					wr := wt[(rr*s+ss)*c:][:len(acc)]
+					for cc := range acc {
+						acc[cc] += int32(px[cc]) * int32(wr[cc])
 					}
 				}
-				out[(p*ow+q)*c+cc] = req.Apply(acc)
+			}
+			o := out[(p*ow+q)*c:][:len(acc)]
+			for cc, a := range acc {
+				o[cc] = req.Apply(a)
 			}
 		}
 	}

@@ -460,6 +460,37 @@ func TestBottleneckComputeNearIdealMACs(t *testing.T) {
 	}
 }
 
+// TestBottleneckAllocationsPerOutputPixel pins the fused kernel's host
+// allocations: workspace pixels round-trip through one buffer the kernel
+// owns, so a run allocates one RegAlloc accumulator block per output pixel
+// plus a fixed set-up, not a fresh byte slice per workspace write.
+func TestBottleneckAllocationsPerOutputPixel(t *testing.T) {
+	cfg := plan.Bottleneck{Name: "t-alloc", H: 12, W: 12, Cin: 8, Cmid: 16, Cout: 4,
+		R: 3, S: 3, S1: 1, S2: 1, S3: 1}
+	rng := rand.New(rand.NewSource(31))
+	p := plan.PlanBottleneckModule(cfg)
+	c, capBytes := newRig(t, p, 2)
+	kn, err := NewBottleneck(c.Dev, cfg, randomWeights(rng, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := randInt8(rng, cfg.H*cfg.W*cfg.Cin)
+	allocs := testing.AllocsPerRun(4, func() {
+		out, err := kn.Run(c, p, PlaceInput(c, "A", in, p.GapBytes()), capBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		FreeAll(c, out)
+	})
+	if err := c.Dev.CheckFaults(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, _, h3, w3 := cfg.Grids()
+	if limit := float64(h3*w3 + 32); allocs > limit {
+		t.Errorf("bottleneck run allocates %.0f times, want at most %.0f (%d output pixels)", allocs, limit, h3*w3)
+	}
+}
+
 func TestAvgPoolMatchesGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, cse := range []struct{ h, w, c int }{{4, 4, 8}, {7, 7, 16}, {3, 5, 24}} {

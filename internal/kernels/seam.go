@@ -60,7 +60,6 @@ func (k *Seam) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error) 
 	c.Dev.CountCalls(1)
 
 	aBuf := make([]int8, sp.Cin)
-	wBuf := make([]int8, sp.Cin)
 	oBuf := make([]int8, sp.Cout)
 	biasBuf := make([]int32, sp.Cout)
 	if k.Bias.Len != 0 {
@@ -77,8 +76,7 @@ func (k *Seam) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error) 
 				copy(acc, biasBuf)
 			}
 			for n := 0; n < sp.Cout; n++ {
-				c.FlashLoad(wBuf, k.Weight, n*sp.Cin)
-				c.DotVec(aBuf, wBuf, &acc[n])
+				c.FlashDot(aBuf, k.Weight, n*sp.Cin, &acc[n])
 			}
 			for i := range oBuf {
 				oBuf[i] = c.Requantize(acc[i], k.Req)

@@ -372,12 +372,20 @@ func (d *Device) FlashAlloc(data []byte) (FlashRef, error) {
 
 // FlashRead copies n bytes from Flash at off into dst, counting traffic.
 func (d *Device) FlashRead(off int, dst []byte) {
-	if off < 0 || off+len(dst) > len(d.flash) {
+	copy(dst, d.FlashView(off, len(dst)))
+}
+
+// FlashView returns the n Flash bytes at off without copying them,
+// counting the same read traffic as FlashRead. Callers must not write
+// through the view. An out-of-range request records an OutOfBounds
+// violation, counts no traffic, and returns nil.
+func (d *Device) FlashView(off, n int) []byte {
+	if off < 0 || n < 0 || off+n > len(d.flash) {
 		d.record(Violation{Kind: OutOfBounds, Addr: off})
-		return
+		return nil
 	}
-	copy(dst, d.flash[off:off+len(dst)])
-	d.Stats.FlashReadBytes += uint64(len(dst))
+	d.Stats.FlashReadBytes += uint64(n)
+	return d.flash[off : off+n : off+n]
 }
 
 // FlashUsed returns the bytes of Flash currently allocated.
