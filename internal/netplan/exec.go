@@ -54,11 +54,22 @@ func Run(profile mcu.Profile, net graph.Network, seed int64, opts Options, cache
 // in the span ("" for host-only traces).
 func RunTraced(profile mcu.Profile, net graph.Network, seed int64, opts Options, cache *Cache,
 	tr *obs.Tracer, parentID, traceID uint64, device string) (*RunResult, error) {
-	if cache == nil {
-		cache = Default
-	}
 	if tr == nil {
 		tr = opts.Tracer
+	}
+	return RunTracedTo(profile, net, seed, opts, cache, tr, nil, parentID, traceID, device)
+}
+
+// RunTracedTo is RunTraced for a caller that owns the span tree the unit
+// spans belong to (a serving request): they are appended to buf with
+// obs.Tracer.EmitTo and reach the tracer, and its flight recorder, with
+// the owner's RecordTree flush. A nil buf records them straight into tr.
+// tr is taken as given, with no fallback to opts.Tracer, so a nil tr
+// records nothing.
+func RunTracedTo(profile mcu.Profile, net graph.Network, seed int64, opts Options, cache *Cache,
+	tr *obs.Tracer, buf *obs.SpanBuffer, parentID, traceID uint64, device string) (*RunResult, error) {
+	if cache == nil {
+		cache = Default
 	}
 	np, _, err := cache.Plan(net, opts)
 	if err != nil {
@@ -145,16 +156,18 @@ func RunTraced(profile mcu.Profile, net graph.Network, seed int64, opts Options,
 		out.Violations += r.Violations
 	}
 	if tr.Enabled() {
-		emitUnitSpans(tr, profile, net, np, units, results, startNs, endNs, parentID, traceID, device)
+		emitUnitSpans(tr, buf, profile, net, np, units, results, startNs, endNs, parentID, traceID, device)
 	}
 	return out, nil
 }
 
-// emitUnitSpans records one KindUnit span per executed unit, in network
-// order. Wall times are the measured per-worker times; the simulated cycle
+// emitUnitSpans records one KindUnit span per executed unit into buf (or
+// straight into tr when buf is nil), in network order. It runs in the
+// calling goroutine after the workers finish, so buf keeps its single
+// owner. Wall times are the measured per-worker times; the simulated cycle
 // axis is cumulative in network order, placing every kernel where the
 // single-core device would execute it.
-func emitUnitSpans(tr *obs.Tracer, profile mcu.Profile, net graph.Network, np *NetworkPlan,
+func emitUnitSpans(tr *obs.Tracer, buf *obs.SpanBuffer, profile mcu.Profile, net graph.Network, np *NetworkPlan,
 	units []int, results []graph.ExecResult, startNs, endNs []int64, parentID, traceID uint64, device string) {
 	cursor := 0.0
 	for u, mi := range units {
@@ -173,7 +186,7 @@ func emitUnitSpans(tr *obs.Tracer, profile mcu.Profile, net graph.Network, np *N
 		if r.OutputOK {
 			verified = 1
 		}
-		tr.Emit(obs.SpanData{
+		tr.EmitTo(buf, obs.SpanData{
 			Parent: parentID, Trace: traceID,
 			Name: name, Kind: obs.KindUnit, Device: device,
 			Start: startNs[u], End: endNs[u],

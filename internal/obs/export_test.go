@@ -28,7 +28,7 @@ func TestChromeTraceExport(t *testing.T) {
 	unit.Attr(Float("cycles", 1234), Int("peak_bytes", 4096))
 	unit.End()
 	root.End()
-	tr.RecordSeries("pool_bytes", "m4", "bytes", []int{10, 20, 15})
+	tr.RecordSeriesSpan("pool_bytes", "m4", "bytes", 0, 2000, []int{10, 20, 15})
 
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, tr.Snapshot()); err != nil {

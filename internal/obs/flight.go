@@ -6,21 +6,25 @@ import (
 )
 
 // The flight recorder is the always-on tail-sampling layer: at serving
-// rates (~137k RPS in BENCH_7) recording every request's span tree is
-// unbounded, and sampling heads alone (decide at submit) misses exactly
-// the requests an operator cares about — the ones that went wrong. Tail
-// sampling inverts it: every in-flight request's spans accumulate in a
-// bounded pending reservoir keyed by trace ID, and at completion the
-// OWNER of the request (the serve layer, which knows the outcome)
-// either retains the whole tree with a reason (error, shed, deadline
-// miss, degraded admission, device-lost, latency above the live p99) or
-// discards it. Retained trees land in a small FIFO ring dumpable as
-// Chrome trace JSON (/debug/flight, vmcu-serve -flight-out).
+// rates recording every request's span tree is unbounded, and sampling
+// heads alone (decide at submit) misses exactly the requests an operator
+// cares about — the ones that went wrong. Tail sampling inverts it: the
+// OWNER of a request (the serve layer, which knows the outcome) buffers
+// the request's whole span tree in a SpanBuffer — lifecycle stages via
+// EndTo, the executor's per-unit spans via EmitTo — and hands it over in
+// one RecordTree call at completion, either with a retention reason
+// (error, shed, deadline miss, degraded admission, device-lost, latency
+// above the live p99) or without one. Retained trees land in a small FIFO
+// ring dumpable as Chrome trace JSON (/debug/flight, vmcu-serve
+// -flight-out).
 //
-// Every dimension is budget-bounded: spans per trace, pending traces,
-// total pending spans, and retained traces. Overflow always evicts the
-// OLDEST pending work — under overload the recorder degrades to keeping
-// the most recent trees, never grows.
+// RecordTree is the recorder's only intake. Spans recorded through End or
+// Emit reach the span ring alone, never the recorder, so between
+// completions it holds nothing but the retained ring: the owner of a
+// request holds every span of its tree until it decides. Two budgets bound
+// it — spans per retained tree (the excess is dropped and counted) and
+// retained trees (the oldest is overwritten) — so under overload the
+// recorder keeps the most recent trees and never grows.
 //
 // The head sampler (sample.go) composes with, not replaces, this layer:
 // head-sampled requests keep the full tail predicate here, and
@@ -33,24 +37,16 @@ import (
 const (
 	DefaultFlightMaxTraces       = 64
 	DefaultFlightMaxSpansPerTree = 512
-	DefaultFlightMaxPending      = 4096
-	DefaultFlightMaxPendingSpans = 1 << 16
 )
 
-// FlightOptions bound the flight recorder's reservoirs.
+// FlightOptions bound the flight recorder's retained ring.
 type FlightOptions struct {
 	// MaxTraces bounds the retained ring (the exemplars an operator
 	// sees); 0 means DefaultFlightMaxTraces.
 	MaxTraces int
-	// MaxSpansPerTree bounds one trace's span count; further spans are
-	// dropped and counted. 0 means DefaultFlightMaxSpansPerTree.
+	// MaxSpansPerTree bounds one retained tree's span count; further
+	// spans are dropped and counted. 0 means DefaultFlightMaxSpansPerTree.
 	MaxSpansPerTree int
-	// MaxPending bounds concurrently accumulating traces; 0 means
-	// DefaultFlightMaxPending.
-	MaxPending int
-	// MaxPendingSpans bounds the total spans buffered across all pending
-	// traces; 0 means DefaultFlightMaxPendingSpans.
-	MaxPendingSpans int
 }
 
 func (o FlightOptions) withDefaults() FlightOptions {
@@ -60,58 +56,18 @@ func (o FlightOptions) withDefaults() FlightOptions {
 	if o.MaxSpansPerTree <= 0 {
 		o.MaxSpansPerTree = DefaultFlightMaxSpansPerTree
 	}
-	if o.MaxPending <= 0 {
-		o.MaxPending = DefaultFlightMaxPending
-	}
-	if o.MaxPendingSpans <= 0 {
-		o.MaxPendingSpans = DefaultFlightMaxPendingSpans
-	}
 	return o
 }
 
-// pendingTrace is one accumulating span tree. Each tree has its own
-// mutex, so concurrent requests buffering spans never contend with each
-// other — only the spans of one trace serialize (and those are handed
-// between pipeline stages one at a time anyway).
-type pendingTrace struct {
-	mu        sync.Mutex
-	spans     []SpanData // guarded by pendingTrace.mu
-	truncated uint64     // spans dropped past MaxSpansPerTree; guarded by mu
-	// dead marks a tree that was evicted or completed; a late offer that
-	// raced the removal drops its span and retries against the map (which
-	// no longer holds this tree). Guarded by pendingTrace.mu.
-	dead bool
-}
-
-// flightRecorder holds the tail-sampling state. The hot offer path — one
-// call per recorded span, ~9 per request at serving rates — touches only
-// lock-free structures (the pending sync.Map, the per-trace mutex, and
-// atomic accounting); the global mutexes guard the cold paths: FIFO
-// eviction order (touched once per trace, not per span) and the retained
-// exemplar ring (touched only when a trace is actually kept).
+// flightRecorder holds the tail-sampling state: traffic stats (atomics,
+// so completions never serialize on a stats lock) and the retained
+// exemplar ring (touched only when a tree is actually kept).
 type flightRecorder struct {
 	opts FlightOptions
 
-	// pending maps trace ID → *pendingTrace. sync.Map because the access
-	// pattern is its sweet spot: every key is written once (trace
-	// creation), read many times (span appends), then deleted.
-	pending sync.Map
-	// pendingCount and pendingSpans are the live budget accounting.
-	pendingCount atomic.Int64
-	pendingSpans atomic.Int64
-	// Traffic stats (FlightStats fields, kept as atomics so completion
-	// paths never serialize on a stats lock).
 	completed      atomic.Uint64
 	retainedCount  atomic.Uint64
-	evictedPending atomic.Uint64
 	truncatedSpans atomic.Uint64
-
-	// orderMu guards pendingOrder, the FIFO eviction order of trace IDs.
-	// Completed traces leave stale IDs behind (skipped when popping);
-	// compactOrderLocked bounds the slice so a long-running recorder that
-	// never hits budget pressure cannot leak order entries.
-	orderMu      sync.Mutex
-	pendingOrder []uint64
 
 	// retMu guards the retained exemplar ring and its eviction counter.
 	// retained is circular storage (len == MaxTraces once full, retNext
@@ -138,12 +94,12 @@ type FlightTrace struct {
 
 // FlightStats count the recorder's traffic since EnableFlight.
 type FlightStats struct {
-	// Completed counts FlightComplete calls; Retained the ones kept.
+	// Completed counts trees completed through RecordTree; Retained the
+	// ones kept (plus the head sampler's synthetic exemplars, see retain).
 	Completed, Retained uint64
-	// EvictedPending counts pending trees evicted for budget (their
-	// spans lost before completion); EvictedRetained retained trees
-	// pushed out of the ring by newer ones.
-	EvictedPending, EvictedRetained uint64
+	// EvictedRetained counts retained trees pushed out of the ring by
+	// newer ones.
+	EvictedRetained uint64
 	// TruncatedSpans counts spans dropped by the per-tree budget.
 	TruncatedSpans uint64
 }
@@ -152,9 +108,6 @@ type FlightStats struct {
 type FlightSnapshot struct {
 	Traces []FlightTrace
 	Stats  FlightStats
-	// Pending is the number of traces still accumulating at snapshot
-	// time.
-	Pending int
 }
 
 // EnableFlight turns on the tail-sampled flight recorder. Safe on a nil
@@ -168,190 +121,30 @@ func (t *Tracer) EnableFlight(opts FlightOptions) {
 	t.flight.Store(fl)
 }
 
-// FlightEnabled reports whether the tracer has a flight recorder
-// (false on nil).
-func (t *Tracer) FlightEnabled() bool {
-	if t == nil {
-		return false
-	}
-	return t.flight.Load() != nil
-}
-
-// offer buffers one ended span into its pending tree, evicting the
-// oldest pending trees when a budget is exceeded.
-func (fl *flightRecorder) offer(d SpanData) {
-	if d.Trace == 0 {
-		return
-	}
-	for {
-		v, ok := fl.pending.Load(d.Trace)
-		if !ok {
-			var loaded bool
-			v, loaded = fl.pending.LoadOrStore(d.Trace, &pendingTrace{})
-			if !loaded {
-				// This span opened the trace: register it in the FIFO
-				// eviction order (the only per-trace global-lock touch).
-				fl.pendingCount.Add(1)
-				fl.orderMu.Lock()
-				fl.pendingOrder = append(fl.pendingOrder, d.Trace)
-				fl.compactOrderLocked()
-				fl.orderMu.Unlock()
-			}
-		}
-		pt := v.(*pendingTrace)
-		pt.mu.Lock()
-		if pt.dead {
-			// Lost a race with eviction/completion: the tree is already
-			// out of the map, so retry — the next Load misses and a fresh
-			// tree is created, matching the sequential semantics (spans
-			// arriving after an eviction restart the trace).
-			pt.mu.Unlock()
-			continue
-		}
-		if len(pt.spans) >= fl.opts.MaxSpansPerTree {
-			pt.truncated++
-			pt.mu.Unlock()
-			fl.truncatedSpans.Add(1)
-			return
-		}
-		pt.spans = append(pt.spans, d)
-		pt.mu.Unlock()
-		fl.pendingSpans.Add(1)
-		break
-	}
-	for fl.pendingCount.Load() > int64(fl.opts.MaxPending) ||
-		fl.pendingSpans.Load() > int64(fl.opts.MaxPendingSpans) {
-		if !fl.evictOldest(d.Trace) {
-			break
-		}
-	}
-}
-
-// compactOrderLocked drops stale entries (traces already completed or
-// evicted) from pendingOrder once it grows well past the pending budget.
-// Without this a long-running server whose traces all complete promptly
-// — so eviction never pops — would leak one order entry per trace.
-// Runs with orderMu held; amortized O(1) per trace.
-func (fl *flightRecorder) compactOrderLocked() {
-	if len(fl.pendingOrder) <= 4*fl.opts.MaxPending {
-		return
-	}
-	live := fl.pendingOrder[:0]
-	for _, id := range fl.pendingOrder {
-		if _, ok := fl.pending.Load(id); ok {
-			live = append(live, id)
-		}
-	}
-	fl.pendingOrder = live
-}
-
-// evictOldest drops the oldest pending tree (skipping keep, the trace
-// just written, so a single over-budget tree cannot evict itself).
-// Reports whether anything was evicted.
-func (fl *flightRecorder) evictOldest(keep uint64) bool {
-	fl.orderMu.Lock()
-	for len(fl.pendingOrder) > 0 {
-		id := fl.pendingOrder[0]
-		fl.pendingOrder = fl.pendingOrder[1:]
-		if id == keep {
-			// Re-queue the protected trace at the back; it becomes
-			// evictable once newer traffic arrives.
-			fl.pendingOrder = append(fl.pendingOrder, id)
-			if len(fl.pendingOrder) == 1 {
-				fl.orderMu.Unlock()
-				return false
-			}
-			continue
-		}
-		v, ok := fl.pending.LoadAndDelete(id)
-		if !ok {
-			// Stale ID: trace already completed; keep popping.
-			continue
-		}
-		fl.orderMu.Unlock()
-		pt := v.(*pendingTrace)
-		pt.mu.Lock()
-		pt.dead = true
-		n := len(pt.spans)
-		pt.spans = nil
-		pt.mu.Unlock()
-		fl.pendingCount.Add(-1)
-		fl.pendingSpans.Add(-int64(n))
-		fl.evictedPending.Add(1)
-		return true
-	}
-	fl.orderMu.Unlock()
-	return false
-}
-
-// FlightComplete finishes a trace: a non-empty reason retains the
-// accumulated tree in the exemplar ring, an empty reason discards it.
-// Safe on a nil tracer or with the recorder disabled.
-func (t *Tracer) FlightComplete(trace uint64, reason string) {
-	if t == nil || trace == 0 {
-		return
-	}
-	fl := t.flight.Load()
-	if fl == nil {
-		return
-	}
-	if fl.completeTree(trace, reason, nil) {
-		if sp := t.sampler.Load(); sp != nil {
-			sp.noteClass(reason)
-		}
-	}
-}
-
-// completeTree finishes a trace: its pending reservoir spans (if any)
-// plus the owner-buffered spans handed in by RecordTree form the tree; a
-// non-empty reason retains it in the exemplar ring, an empty reason
-// discards it. The per-tree span budget applies to the combined tree.
-// Reports whether the tree was retained.
+// completeTree finishes the tree an owner handed to RecordTree: a
+// non-empty reason retains its spans (up to the per-tree budget) in the
+// exemplar ring, an empty reason discards them. Reports whether the tree
+// was retained.
 func (fl *flightRecorder) completeTree(trace uint64, reason string, owned []SpanData) bool {
 	fl.completed.Add(1)
-	var spans []SpanData
+	if reason == "" || len(owned) == 0 {
+		return false
+	}
 	var truncated uint64
-	if v, ok := fl.pending.LoadAndDelete(trace); ok {
-		pt := v.(*pendingTrace)
-		pt.mu.Lock()
-		pt.dead = true
-		spans, truncated = pt.spans, pt.truncated
-		pt.spans = nil
-		pt.mu.Unlock()
-		fl.pendingCount.Add(-1)
-		fl.pendingSpans.Add(-int64(len(spans)))
-		// The trace's ID stays in pendingOrder as a stale entry, skipped
-		// during eviction and swept by compactOrderLocked — cheaper than
-		// an O(n) removal here.
+	if over := len(owned) - fl.opts.MaxSpansPerTree; over > 0 {
+		truncated = uint64(over)
+		fl.truncatedSpans.Add(truncated)
+		owned = owned[:fl.opts.MaxSpansPerTree]
 	}
-	if reason == "" {
-		return false
-	}
-	// The owner's buffered spans alias the SpanBuffer's pooled attr
-	// arena, which RecordTree recycles the moment this returns — so
-	// retention deep-copies their attrs. Only actually-kept trees (the
-	// rare ones) pay the copy; reservoir spans already own their attrs.
-	keep := len(spans) + len(owned)
-	if over := keep - fl.opts.MaxSpansPerTree; over > 0 {
-		truncated += uint64(over)
-		keep = fl.opts.MaxSpansPerTree
-	}
-	if keep == 0 {
-		return false
-	}
-	cp := make([]SpanData, 0, keep)
-	cp = append(cp, spans...)
-	if len(cp) > keep {
-		cp = cp[:keep]
-	}
-	for _, d := range owned {
-		if len(cp) == keep {
-			break
-		}
+	// The owner's spans alias the SpanBuffer's pooled attr arena, which
+	// RecordTree recycles the moment this returns — so retention
+	// deep-copies their attrs. Only kept trees (the rare ones) pay.
+	cp := make([]SpanData, len(owned))
+	for i, d := range owned {
 		if len(d.Attrs) > 0 {
 			d.Attrs = append([]Attr(nil), d.Attrs...)
 		}
-		cp = append(cp, d)
+		cp[i] = d
 	}
 	fl.retain(FlightTrace{
 		Trace: trace, Reason: reason,
@@ -363,7 +156,7 @@ func (fl *flightRecorder) completeTree(trace uint64, reason string, owned []Span
 // retain puts one finished tree into the exemplar ring. Besides
 // completeTree, this is the entry point for the head sampler's
 // synthetic always-keep exemplars (Tracer.SampleTailKeep), which never
-// had a pending tree — those bump Retained without a matching
+// went through RecordTree — those bump Retained without a matching
 // Completed, so FlightStats.Retained can exceed Completed under head
 // sampling.
 func (fl *flightRecorder) retain(ft FlightTrace) {
@@ -411,8 +204,6 @@ func (t *Tracer) FlightSnapshot() *FlightSnapshot {
 	fl.retMu.Unlock()
 	snap.Stats.Completed = fl.completed.Load()
 	snap.Stats.Retained = fl.retainedCount.Load()
-	snap.Stats.EvictedPending = fl.evictedPending.Load()
 	snap.Stats.TruncatedSpans = fl.truncatedSpans.Load()
-	snap.Pending = int(fl.pendingCount.Load())
 	return snap
 }

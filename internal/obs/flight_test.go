@@ -7,10 +7,31 @@ import (
 	"testing"
 )
 
+// buildTree buffers a two-span request tree (root + execute stage) plus
+// nUnits emitted unit spans under the stage, the shape the serve layer
+// hands to RecordTree. Returns the buffer and the tree's trace ID.
+func buildTree(tr *Tracer, name string, nUnits int) (*SpanBuffer, uint64) {
+	b := NewSpanBuffer()
+	root := tr.Start(name, KindRequest)
+	trace := root.TraceID()
+	child := tr.StartChild(root, "execute", KindStage)
+	for i := 0; i < nUnits; i++ {
+		tr.EmitTo(b, SpanData{
+			Parent: child.ID(), Trace: trace,
+			Name: fmt.Sprintf("unit%d", i), Kind: KindUnit,
+			Attrs: []Attr{Int("unit", int64(i))},
+		})
+	}
+	child.EndTo(b)
+	root.EndTo(b)
+	return b, trace
+}
+
 // TestFlightRetentionProperty is the retention property test: under
-// concurrent traffic where only some traces complete with a reason, the
-// retained ring holds ONLY reason-bearing traces and never exceeds its
-// budget, and the traffic stats reconcile. Run under -race in CI.
+// concurrent traffic where only some trees complete with a reason, the
+// retained ring holds ONLY reason-bearing trees, whole and with their own
+// attrs, never exceeds its budget, and the traffic stats reconcile. Run
+// under -race in CI.
 func TestFlightRetentionProperty(t *testing.T) {
 	const (
 		workers   = 8
@@ -25,17 +46,13 @@ func TestFlightRetentionProperty(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				root := tr.Start(fmt.Sprintf("request-%d-%d", w, i), KindRequest)
-				trace := root.TraceID()
-				child := tr.StartChild(root, "execute", KindStage)
-				child.End()
-				root.End()
+				b, trace := buildTree(tr, fmt.Sprintf("request-%d-%d", w, i), 1)
 				// Every 7th request is "interesting".
 				reason := ""
 				if i%7 == 0 {
 					reason = "deadline"
 				}
-				tr.FlightComplete(trace, reason)
+				tr.RecordTree(b, trace, reason)
 			}
 		}(w)
 	}
@@ -52,8 +69,18 @@ func TestFlightRetentionProperty(t *testing.T) {
 		if ft.Reason != "deadline" {
 			t.Fatalf("retained trace with reason %q — only interesting outcomes may be retained", ft.Reason)
 		}
-		if len(ft.Spans) != 2 {
-			t.Fatalf("retained trace has %d spans, want 2", len(ft.Spans))
+		if len(ft.Spans) != 3 {
+			t.Fatalf("retained trace has %d spans, want 3 (root, execute, unit)", len(ft.Spans))
+		}
+		for _, d := range ft.Spans {
+			if d.Trace != ft.Trace {
+				t.Fatalf("span %s of trace %d carries trace %d", d.Name, ft.Trace, d.Trace)
+			}
+			// The buffer's arena was recycled for later trees: a retained
+			// unit span must still hold its own attr.
+			if d.Kind == KindUnit && (len(d.Attrs) != 1 || d.Attrs[0].Key != "unit" || d.Attrs[0].Int != 0) {
+				t.Fatalf("retained unit span attrs corrupted: %+v", d.Attrs)
+			}
 		}
 	}
 	if fs.Stats.Completed != workers*perWorker {
@@ -67,56 +94,39 @@ func TestFlightRetentionProperty(t *testing.T) {
 		t.Fatalf("evicted-retained = %d, retained = %d, ring = %d: stats don't reconcile",
 			fs.Stats.EvictedRetained, fs.Stats.Retained, len(fs.Traces))
 	}
-	if fs.Pending != 0 {
-		t.Fatalf("%d traces still pending after all completed", fs.Pending)
+
+	// Spans recorded outside RecordTree reach the span ring only: the
+	// recorder takes in nothing it was not handed.
+	root := tr.Start("netplan.plan", KindPlan)
+	tr.StartChild(root, "netplan.solve", KindPlan).End()
+	root.End()
+	tr.Emit(SpanData{Name: "unit", Kind: KindUnit})
+	if after := tr.FlightSnapshot(); after.Stats != fs.Stats || len(after.Traces) != len(fs.Traces) {
+		t.Fatalf("spans ended outside RecordTree moved the recorder: %+v -> %+v", fs.Stats, after.Stats)
 	}
 }
 
-// TestFlightPendingBudgets verifies both pending bounds: trace count and
-// total buffered spans, with oldest-first eviction.
-func TestFlightPendingBudgets(t *testing.T) {
+// TestFlightTreeTruncation: the per-tree span budget truncates a chatty
+// owned tree instead of retaining it unbounded, and counts the drop both
+// on the tree and in the recorder stats.
+func TestFlightTreeTruncation(t *testing.T) {
 	tr := New(Options{})
-	tr.EnableFlight(FlightOptions{MaxPending: 8, MaxSpansPerTree: 4})
-	var traces []uint64
-	for i := 0; i < 32; i++ {
-		root := tr.Start("request", KindRequest)
-		traces = append(traces, root.TraceID())
-		root.End()
-	}
+	tr.EnableFlight(FlightOptions{MaxSpansPerTree: 4})
+	b, trace := buildTree(tr, "request", 10)
+	tr.RecordTree(b, trace, "p99")
 	fs := tr.FlightSnapshot()
-	if fs.Pending > 8 {
-		t.Fatalf("pending = %d, budget 8", fs.Pending)
+	if len(fs.Traces) != 1 {
+		t.Fatalf("retained %d trees, want 1", len(fs.Traces))
 	}
-	if fs.Stats.EvictedPending != 32-8 {
-		t.Fatalf("evicted pending = %d, want 24", fs.Stats.EvictedPending)
-	}
-	// The oldest traces were evicted: completing one of them with a
-	// reason retains nothing (its spans are gone).
-	tr.FlightComplete(traces[0], "error")
-	if got := len(tr.FlightSnapshot().Traces); got != 0 {
-		t.Fatalf("evicted trace retained %d trees", got)
-	}
-	// A surviving (recent) trace retains fine.
-	tr.FlightComplete(traces[31], "error")
-	if got := len(tr.FlightSnapshot().Traces); got != 1 {
-		t.Fatalf("recent trace not retained (got %d)", got)
-	}
-
-	// Per-tree span budget: a chatty trace is truncated, not unbounded.
-	root := tr.Start("request", KindRequest)
-	chatty := root.TraceID()
-	for i := 0; i < 10; i++ {
-		tr.StartChild(root, "unit", KindUnit).End()
-	}
-	root.End()
-	tr.FlightComplete(chatty, "p99")
-	fs = tr.FlightSnapshot()
-	last := fs.Traces[len(fs.Traces)-1]
+	last := fs.Traces[0]
 	if len(last.Spans) != 4 {
 		t.Fatalf("truncated tree has %d spans, want 4", len(last.Spans))
 	}
-	if last.Truncated != 7 {
-		t.Fatalf("truncated count = %d, want 7 (10 children + root - 4 kept)", last.Truncated)
+	if last.Truncated != 8 {
+		t.Fatalf("truncated count = %d, want 8 (10 units + execute + root - 4 kept)", last.Truncated)
+	}
+	if fs.Stats.TruncatedSpans != 8 {
+		t.Fatalf("TruncatedSpans stat = %d, want 8", fs.Stats.TruncatedSpans)
 	}
 }
 
@@ -125,17 +135,23 @@ func TestFlightPendingBudgets(t *testing.T) {
 func TestFlightDisabledAndNil(t *testing.T) {
 	var nilTr *Tracer
 	nilTr.EnableFlight(FlightOptions{})
-	nilTr.FlightComplete(1, "x")
+	if id := nilTr.EmitTo(NewSpanBuffer(), SpanData{Name: "u"}); id != 0 {
+		t.Fatalf("nil tracer EmitTo returned id %d", id)
+	}
+	nilTr.RecordTree(NewSpanBuffer(), 1, "x")
 	if fs := nilTr.FlightSnapshot(); len(fs.Traces) != 0 {
 		t.Fatal("nil tracer retained traces")
 	}
 	tr := New(Options{})
-	s := tr.Start("request", KindRequest)
-	sTrace := s.TraceID()
-	s.End()
-	tr.FlightComplete(sTrace, "error")
-	if fs := tr.FlightSnapshot(); len(fs.Traces) != 0 || tr.FlightEnabled() {
+	b, trace := buildTree(tr, "request", 2)
+	tr.RecordTree(b, trace, "error")
+	fs := tr.FlightSnapshot()
+	if len(fs.Traces) != 0 || fs.Stats != (FlightStats{}) {
 		t.Fatal("flight recorder active without EnableFlight")
+	}
+	// The tree still landed in the span ring.
+	if got := len(tr.Snapshot().Spans); got != 4 {
+		t.Fatalf("span ring holds %d spans, want the 4 flushed", got)
 	}
 }
 
@@ -144,20 +160,20 @@ func TestFlightDisabledAndNil(t *testing.T) {
 func TestWriteFlightChrome(t *testing.T) {
 	tr := New(Options{})
 	tr.EnableFlight(FlightOptions{})
-	root := tr.Start("request", KindRequest)
-	trace := root.TraceID()
-	tr.StartChild(root, "execute", KindStage).End()
-	root.End()
-	tr.FlightComplete(trace, "device-lost")
-	var b strings.Builder
-	if err := WriteFlightChrome(&b, tr.FlightSnapshot()); err != nil {
+	b, trace := buildTree(tr, "request", 1)
+	tr.RecordTree(b, trace, "device-lost")
+	var sb strings.Builder
+	if err := WriteFlightChrome(&sb, tr.FlightSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
+	out := sb.String()
 	if !strings.Contains(out, `"flight_reason": "device-lost"`) {
 		t.Fatalf("flight reason missing from dump:\n%s", out)
 	}
 	if !strings.Contains(out, `"name": "execute"`) {
 		t.Fatal("child span missing from dump")
+	}
+	if !strings.Contains(out, `"cat": "unit"`) {
+		t.Fatal("emitted unit span missing from dump")
 	}
 }

@@ -131,8 +131,7 @@ type Series struct {
 	// spacing between consecutive samples, both in nanoseconds since
 	// the tracer's epoch — the declared time base that places the
 	// counter curve on the same axis as the recorded spans.
-	// RecordSeriesSpan spreads samples across a real span's interval;
-	// RecordSeries anchors at the call instant with a 1µs step.
+	// RecordSeriesSpan spreads samples across a real span's interval.
 	Start, Step int64
 }
 
@@ -188,7 +187,7 @@ type Tracer struct {
 	cap    int // total ring capacity; immutable after New
 
 	// flight is the optional tail-sampling recorder; swapped atomically
-	// so the record hot path reads it without a lock.
+	// so RecordTree reads it without a lock.
 	flight atomic.Pointer[flightRecorder]
 
 	// sampler is the optional head sampler (sample.go); swapped
@@ -322,21 +321,6 @@ func (t *Tracer) StartChild(parent *Span, name, kind string) *Span {
 	return s
 }
 
-// StartUnder opens a span under an explicit parent/trace ID pair, for
-// call sites that only carry IDs across package boundaries (netplan's
-// per-unit spans under a serving request's execute span).
-func (t *Tracer) StartUnder(parentID, traceID uint64, name, kind string) *Span {
-	if t == nil {
-		return nil
-	}
-	s := t.Start(name, kind)
-	s.data.Parent = parentID
-	if traceID != 0 {
-		s.data.Trace = traceID
-	}
-	return s
-}
-
 // ID returns the span's identifier (0 on nil).
 func (s *Span) ID() uint64 {
 	if s == nil {
@@ -403,8 +387,9 @@ func (s *Span) End() {
 // goroutine owns it at a time, handed along with the operation it
 // describes — the same ownership discipline as a Span handle. Buffering
 // exists for hot paths that end spans while holding contended locks: an
-// EndTo is a timestamp and a slice append, with every tracer lock, map
-// touch, and flight-recorder offer deferred to the flush.
+// EndTo is a timestamp and a slice append, with every tracer lock
+// deferred to the flush. It is also how a tree reaches the flight
+// recorder: RecordTree is the recorder's only intake.
 //
 // Buffers recycle: NewSpanBuffer draws from a package pool, and the
 // terminal flush edge — RecordTree, or Release for abandoned trees —
@@ -525,11 +510,11 @@ func (s *Span) EndTo(b *SpanBuffer) {
 
 // RecordTree flushes a span buffer into the ring storage and completes
 // the trace in the flight recorder (no-op when flight is disabled): a
-// non-empty reason retains the tree — the buffered spans plus any spans
-// recorded directly under the same trace ID, like the executor's
-// per-unit spans — and an empty reason discards it. The whole buffer
-// lands under one shard-lock acquisition, so a request's ~9 lifecycle
-// spans cost one lock hop at completion instead of nine on the hot path.
+// non-empty reason retains the buffered tree — lifecycle spans ended with
+// EndTo and the executor's per-unit spans emitted with EmitTo — and an
+// empty reason discards it. The whole buffer lands under one shard-lock
+// acquisition, so a request's ~9 lifecycle spans cost one lock hop at
+// completion instead of nine on the hot path.
 // Nil-safe on the tracer and the buffer; RecordTree is the buffer's
 // terminal edge — it is recycled (pooled buffers return to the pool)
 // and must not be used after this call.
@@ -576,27 +561,45 @@ func (t *Tracer) Emit(d SpanData) uint64 {
 	if t == nil {
 		return 0
 	}
+	t.assignID(&d)
+	t.record(d)
+	return d.ID
+}
+
+// EmitTo is the buffered twin of Emit, as EndTo is of End: it assigns
+// the ID the same way, interns the attrs into b's arena, and appends the
+// span to b for its owner's RecordTree flush. A nil buffer falls back to
+// Emit. Returns the span's ID (0 on a nil tracer).
+func (t *Tracer) EmitTo(b *SpanBuffer, d SpanData) uint64 {
+	if t == nil {
+		return 0
+	}
+	if b == nil {
+		return t.Emit(d)
+	}
+	t.assignID(&d)
+	d.Attrs = b.internAttrs(d.Attrs)
+	b.spans = append(b.spans, d)
+	return d.ID
+}
+
+// assignID gives an emitted span a fresh ID when it has none, and makes
+// a span without a trace the root of its own.
+func (t *Tracer) assignID(d *SpanData) {
 	if d.ID == 0 {
 		d.ID = t.nextID.Add(1)
 	}
 	if d.Trace == 0 {
 		d.Trace = d.ID
 	}
-	t.record(d)
-	return d.ID
 }
 
-// record appends one ended span to its ring shard and offers it to the
-// flight recorder (after releasing the shard lock — the recorder has its
-// own synchronization and the two never nest).
+// record appends one ended span to its ring shard.
 func (t *Tracer) record(d SpanData) {
 	sh := &t.shards[d.ID%uint64(len(t.shards))]
 	sh.mu.Lock()
 	sh.storeLocked(d)
 	sh.mu.Unlock()
-	if fl := t.flight.Load(); fl != nil {
-		fl.offer(d)
-	}
 }
 
 // storeLocked writes one ended span into the ring, recycling the
@@ -619,17 +622,6 @@ func (sh *spanShard) storeLocked(d SpanData) {
 	*slot = d
 	slot.Attrs = append(reuse, d.Attrs...)
 	sh.total++
-}
-
-// RecordSeries stores one sample timeline (e.g. pool-occupancy samples)
-// anchored at the call instant with a declared 1µs step between samples.
-// Call sites that know the wall interval the samples actually cover
-// should use RecordSeriesSpan so the curve aligns with recorded spans.
-func (t *Tracer) RecordSeries(name, device, unit string, samples []int) {
-	if t == nil || len(samples) == 0 {
-		return
-	}
-	t.RecordSeriesSpan(name, device, unit, t.now(), 0, samples)
 }
 
 // RecordSeriesSpan stores one sample timeline spread evenly across the

@@ -24,7 +24,9 @@ func TestNilTracerIsSafeAndFree(t *testing.T) {
 		t.Fatalf("nil span ID = %d, want 0", got)
 	}
 	tr.StartChild(nil, "child", KindStage).End()
-	tr.StartUnder(7, 9, "u", KindUnit).End()
+	if id := tr.EmitTo(nil, SpanData{Name: "u"}); id != 0 {
+		t.Fatalf("nil tracer EmitTo returned id %d", id)
+	}
 	reg := tr.Registry()
 	if reg != nil {
 		t.Fatal("nil tracer returned a non-nil registry")
@@ -36,7 +38,7 @@ func TestNilTracerIsSafeAndFree(t *testing.T) {
 	if fams := reg.Families(); fams != nil {
 		t.Fatalf("nil registry families = %+v", fams)
 	}
-	tr.RecordSeries("pool", "m4", "bytes", []int{1, 2, 3})
+	tr.RecordSeriesSpan("pool", "m4", "bytes", 0, 10, []int{1, 2, 3})
 	if id := tr.Emit(SpanData{Name: "e"}); id != 0 {
 		t.Fatalf("nil tracer Emit returned id %d", id)
 	}
@@ -54,9 +56,8 @@ func TestSpanTreeRecording(t *testing.T) {
 	child := tr.StartChild(root, "queue", KindStage)
 	childID, childTrace := child.ID(), child.TraceID()
 	child.End()
-	grand := tr.StartUnder(childID, childTrace, "unit", KindUnit)
-	grand.SetCycles(100, 350)
-	grand.End()
+	tr.Emit(SpanData{Parent: childID, Trace: childTrace, Name: "unit", Kind: KindUnit,
+		Start: tr.Now(), End: tr.Now(), StartCycles: 100, EndCycles: 350})
 	root.End()
 
 	snap := tr.Snapshot()
@@ -183,7 +184,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 func TestSeriesRecording(t *testing.T) {
 	tr := New(Options{})
 	samples := []int{1, 5, 3}
-	tr.RecordSeries("pool_bytes", "m4", "bytes", samples)
+	tr.RecordSeriesSpan("pool_bytes", "m4", "bytes", 1000, 5000, samples)
 	samples[0] = 99 // the tracer must have copied
 	snap := tr.Snapshot()
 	if len(snap.Series) != 1 {
@@ -195,6 +196,9 @@ func TestSeriesRecording(t *testing.T) {
 	}
 	if sr.Samples[0] != 1 {
 		t.Fatal("series samples were not copied on record")
+	}
+	if sr.Start != 1000 || sr.Step != 2000 {
+		t.Fatalf("series time base = start %d step %d, want 1000/2000 (3 samples over [1000,5000])", sr.Start, sr.Step)
 	}
 }
 
@@ -239,5 +243,42 @@ func TestEmitAssignsIDs(t *testing.T) {
 	snap := tr.Snapshot()
 	if len(snap.Spans) != 1 || snap.Spans[0].ID != id || snap.Spans[0].Trace != id {
 		t.Fatalf("emitted span wrong: %+v", snap.Spans)
+	}
+}
+
+// TestEmitToBuffersUntilRecordTree: EmitTo assigns IDs like Emit but
+// holds the span in the buffer — with its own copy of the attrs — until
+// the owner's RecordTree flush; a nil buffer records straight away.
+func TestEmitToBuffersUntilRecordTree(t *testing.T) {
+	tr := New(Options{})
+	b := NewSpanBuffer()
+	attrs := []Attr{Int("macs", 7)}
+	id := tr.EmitTo(b, SpanData{Parent: 5, Trace: 9, Name: "unit", Kind: KindUnit, Attrs: attrs})
+	attrs[0].Int = 99 // the buffer must have copied
+	own := tr.EmitTo(b, SpanData{Name: "root"})
+	if id == 0 || own == 0 || id == own {
+		t.Fatalf("EmitTo ids = %d, %d: want distinct nonzero", id, own)
+	}
+	if b.Len() != 2 || len(tr.Snapshot().Spans) != 0 {
+		t.Fatalf("buffered %d spans with %d already in the ring, want 2 and 0", b.Len(), len(tr.Snapshot().Spans))
+	}
+	tr.RecordTree(b, 9, "")
+	byID := map[uint64]SpanData{}
+	for _, s := range tr.Snapshot().Spans {
+		byID[s.ID] = s
+	}
+	if u := byID[id]; u.Parent != 5 || u.Trace != 9 || len(u.Attrs) != 1 || u.Attrs[0].Int != 7 {
+		t.Fatalf("flushed unit span wrong: %+v", u)
+	}
+	if r := byID[own]; r.Trace != own {
+		t.Fatalf("span without a trace did not root its own: %+v", r)
+	}
+	direct := tr.EmitTo(nil, SpanData{Name: "direct"})
+	found := false
+	for _, s := range tr.Snapshot().Spans {
+		found = found || s.ID == direct
+	}
+	if !found {
+		t.Fatal("EmitTo with a nil buffer did not record the span")
 	}
 }

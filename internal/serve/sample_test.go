@@ -184,7 +184,10 @@ func TestAlwaysKeepClassesCapturedAtTinyRate(t *testing.T) {
 
 // TestUnsampledCountersOnlyPath pins the rate-0 contract: with every head
 // dropped (and tail keeps disabled), metrics still see 100% of traffic
-// while zero span trees and zero flight exemplars are produced.
+// while zero span trees, zero unit spans and zero flight exemplars are
+// produced. The model registers its Pareto frontier, whose variant
+// options carry the tracer the planner ran under: execution must still
+// record nothing for an unsampled request.
 func TestUnsampledCountersOnlyPath(t *testing.T) {
 	tr := obs.New(obs.Options{})
 	tr.EnableFlight(obs.FlightOptions{})
@@ -196,7 +199,7 @@ func TestUnsampledCountersOnlyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Register("tiny", tinyModel(), ModelConfig{}); err != nil {
+	if err := s.Register("tiny", tinyModel(), ModelConfig{Pareto: true}); err != nil {
 		t.Fatal(err)
 	}
 	const n = 8
@@ -226,6 +229,11 @@ func TestUnsampledCountersOnlyPath(t *testing.T) {
 	}
 	if trees := collectTrees(snap); len(trees) != 0 {
 		t.Errorf("rate 0 recorded %d span trees, want none", len(trees))
+	}
+	for _, sp := range snap.Spans {
+		if sp.Kind == obs.KindUnit {
+			t.Fatalf("rate 0 recorded unit span %s", sp.Name)
+		}
 	}
 	fs := tr.FlightSnapshot()
 	if len(fs.Traces) != 0 || fs.Stats.Retained != 0 {

@@ -699,15 +699,15 @@ func (s *Server) execute(d *device, req *request) {
 		// scheduling point so residency windows genuinely overlap.
 		runtime.Gosched()
 	default:
-		// An unsampled request suppresses the executor's per-unit span
-		// emission too (nil tracer into RunTraced): the no-op path must
-		// not pay per-kernel Emit allocations either.
+		// A sampled request's unit spans join its buffered tree and flush
+		// with it at flightDone. An unsampled request suppresses them (nil
+		// tracer): the no-op path must not pay per-kernel allocations.
 		extr := s.tr
 		if !req.sampled {
 			extr = nil
 		}
-		run, err = netplan.RunTraced(d.profile, req.mdl.net, req.seed, req.variant.opts, s.cache,
-			extr, execSpan.ID(), execSpan.TraceID(), d.name)
+		run, err = netplan.RunTracedTo(d.profile, req.mdl.net, req.seed, req.variant.opts, s.cache,
+			extr, req.spanBuf, execSpan.ID(), execSpan.TraceID(), d.name)
 		if err == nil && !run.AllVerified {
 			err = fmt.Errorf("serve: %s on %s: output verification failed", req.mdl.name, d.name)
 		}

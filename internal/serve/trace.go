@@ -21,7 +21,7 @@ import (
 //	├── dispatch                    (admission → executor goroutine running)
 //	├── execute                     (the netplan.Run verification)
 //	│   └── one span per executed unit (module / split region / seam),
-//	│       recorded by netplan with device cycle counters as attributes
+//	│       emitted by netplan with device cycle counters as attributes
 //	└── complete                    (ledger release + metrics + resolve)
 //	    └── ledger.release
 //
@@ -37,13 +37,14 @@ import (
 // race-clean; with a nil tracer no request is ever sampled, so only the
 // counters run.
 //
-// Lifecycle spans do not hit the tracer as they end: several stages end
+// No span of a request hits the tracer as it ends: several stages end
 // spans while holding the shard lock on the admission hot path, so each
-// End is buffered into req.spanBuf (a plain slice append) and the whole
-// tree is flushed in one RecordTree call at the terminal point. Only the
-// executor's per-unit spans (emitted by netplan mid-execute) go through
-// the tracer directly; the flight recorder merges them back into the
-// request's tree by trace ID at completion.
+// End is buffered into req.spanBuf (a plain slice append), and the
+// executor's per-unit spans join the same buffer (netplan.RunTracedTo
+// writes them with EmitTo in the executor goroutine, which owns the
+// buffer during execute). The whole tree is flushed in one RecordTree
+// call at the terminal point — the flight recorder's only intake, so a
+// retained tree is exactly what the request's owner buffered.
 //
 // Every terminal path additionally completes the request's trace in the
 // tracer's flight recorder (no-op unless EnableFlight was called): a

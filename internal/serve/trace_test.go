@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vmcu-project/vmcu/internal/graph"
 	"github.com/vmcu-project/vmcu/internal/mcu"
 	"github.com/vmcu-project/vmcu/internal/obs"
 )
@@ -193,6 +194,96 @@ func TestTracedLifecycleSpanTree(t *testing.T) {
 	buf.Reset()
 	if err := obs.WritePrometheus(&buf, snap); err != nil {
 		t.Fatalf("prometheus export: %v", err)
+	}
+}
+
+// TestFlightRetainedTreeCarriesUnitSpans pins what a retained verify-mode
+// tree holds. Every request misses its latency budget — checked against
+// the variant's simulated latency, not the wall clock, so the outcome is
+// deterministic — and is retained as budget-miss. Each retained tree must
+// carry exactly one unit span per executed unit of its variant's plan
+// (split region or modules, plus seams), each parented to that tree's
+// execute span, and no planner span.
+func TestFlightRetainedTreeCarriesUnitSpans(t *testing.T) {
+	tr := obs.New(obs.Options{})
+	tr.EnableFlight(obs.FlightOptions{})
+	s, err := NewServer(Options{
+		Devices: []DeviceConfig{{Name: "m4", Profile: mcu.CortexM4()}},
+		Tracer:  tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Register("vww", graph.VWW(), ModelConfig{Pareto: true, LatencyBudget: time.Nanosecond}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	wantUnits := map[string]int{} // variant → executed units of its plan
+	for i := 0; i < n; i++ {
+		tk, err := s.Submit("vww", SubmitOptions{Seed: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tk.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MetLatencyBudget {
+			t.Fatalf("request %d met a 1ns budget (estimated %v)", i, res.EstimatedLatency)
+		}
+		np := res.Run.Plan
+		units := len(np.Modules) + len(np.Seams)
+		if np.Split != nil {
+			units += 1 - np.Split.Depth // the region's modules run as one unit
+		}
+		wantUnits[res.Variant] = units
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fs := tr.FlightSnapshot()
+	if len(fs.Traces) != n {
+		t.Fatalf("retained %d trees, want %d", len(fs.Traces), n)
+	}
+	for _, ft := range fs.Traces {
+		if ft.Reason != "budget-miss" {
+			t.Errorf("trace %d retained as %q, want budget-miss", ft.Trace, ft.Reason)
+		}
+		var exec obs.SpanData
+		var units []obs.SpanData
+		for _, d := range ft.Spans {
+			switch {
+			case d.Kind == obs.KindStage && d.Name == "execute":
+				exec = d
+			case d.Kind == obs.KindUnit:
+				units = append(units, d)
+			case d.Kind == obs.KindPlan:
+				t.Errorf("trace %d holds planner span %s", ft.Trace, d.Name)
+			}
+		}
+		if exec.ID == 0 {
+			t.Fatalf("trace %d has no execute span", ft.Trace)
+		}
+		variant := ""
+		for _, a := range exec.Attrs {
+			if a.Key == "variant" {
+				variant = a.Str
+			}
+		}
+		want, ok := wantUnits[variant]
+		if !ok {
+			t.Fatalf("trace %d executed unknown variant %q", ft.Trace, variant)
+		}
+		if len(units) != want {
+			t.Errorf("trace %d (variant %s) holds %d unit spans, want %d", ft.Trace, variant, len(units), want)
+		}
+		for _, u := range units {
+			if u.Parent != exec.ID || u.Trace != ft.Trace {
+				t.Errorf("trace %d: unit %s parent/trace = %d/%d, want execute %d/%d",
+					ft.Trace, u.Name, u.Parent, u.Trace, exec.ID, ft.Trace)
+			}
+		}
 	}
 }
 

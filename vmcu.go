@@ -463,13 +463,15 @@ func WritePrometheus(w io.Writer, snap *TraceSnapshot) error {
 // obs.DefaultWindowWidth (10 × 1s) is the conventional live view.
 type WindowOptions = obs.WindowOptions
 
-// FlightOptions configure the tracer's tail-sampled flight recorder
-// (budgets for retained traces, spans per tree, and pending buffers);
-// the zero value uses the obs.DefaultFlight* budgets. Enable with
-// Tracer.EnableFlight; requests whose terminal outcome is interesting
-// (errors, sheds, deadline misses, degraded admissions, device loss,
-// live-p99 outliers) retain their whole span tree, everything else is
-// discarded at completion.
+// FlightOptions configure the tracer's tail-sampled flight recorder: the
+// budgets for retained traces and for spans per retained tree; the zero
+// value uses the obs.DefaultFlight* budgets. Enable with
+// Tracer.EnableFlight. A serving request hands its whole span tree
+// (lifecycle stages plus executed units) to the recorder at completion:
+// trees whose outcome is interesting (errors, sheds, deadline or latency
+// budget misses, degraded admissions, device loss, live-p99 outliers)
+// are retained, everything else is discarded. Spans recorded outside a
+// request's tree never reach the recorder.
 type FlightOptions = obs.FlightOptions
 
 // FlightSnapshot is a consistent copy of the flight recorder's retained
