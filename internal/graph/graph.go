@@ -138,18 +138,19 @@ type ExecResult struct {
 	OutputOK   bool
 }
 
-// RunModule plans and executes one module on a fresh device with
-// deterministic random weights and input, verifying the fused kernel's
-// output against the golden composition.
+// RunModule plans and executes one module on a pooled device reset to
+// New's state, with deterministic random weights and input, verifying the
+// fused kernel's output against the golden composition.
 func RunModule(profile mcu.Profile, cfg plan.Bottleneck, seed int64) (ExecResult, error) {
 	return RunModuleWithPlan(profile, cfg, plan.PlanBottleneckModule(cfg), seed)
 }
 
-// RunModuleWithPlan executes one module under an explicit memory plan —
-// the minimal solved plan, or a scheduler-chosen variant such as the
-// disjoint baseline placement (netplan.PolicyBaseline). The plan's gap may
-// exceed the solved minimum (wider separations are strictly safer) but the
-// shadow-state checker still proves no live segment is clobbered.
+// RunModuleWithPlan executes one module on a pooled device reset to New's
+// state under an explicit memory plan — the minimal solved plan, or a
+// scheduler-chosen variant such as the disjoint baseline placement
+// (netplan.PolicyBaseline). The plan's gap may exceed the solved minimum
+// (wider separations are strictly safer) but the shadow-state checker
+// still proves no live segment is clobbered.
 func RunModuleWithPlan(profile mcu.Profile, cfg plan.Bottleneck, p plan.Plan, seed int64) (ExecResult, error) {
 	segsz := p.SegBytes
 	poolBytes := (p.FootprintBytes - p.WorkspaceBytes + segsz - 1) / segsz * segsz
@@ -160,8 +161,8 @@ func RunModuleWithPlan(profile mcu.Profile, cfg plan.Bottleneck, p plan.Plan, se
 		return ExecResult{}, fmt.Errorf("graph: module %s needs %d bytes (pool %d + workspace %d), device has %d",
 			cfg.Name, need, poolBytes, p.WorkspaceBytes, profile.RAMBytes())
 	}
-	flashNeed := cfg.Cmid*cfg.Cin + cfg.R*cfg.S*cfg.Cmid + cfg.Cout*cfg.Cmid + 4*(2*cfg.Cmid+cfg.Cout) + 64
-	dev := mcu.New(profile, flashNeed)
+	dev := acquireDevice(profile, bottleneckFlashBytes(cfg))
+	defer releaseDevice(dev)
 	pool, err := seg.NewPool(dev, 0, poolBytes, segsz)
 	if err != nil {
 		return ExecResult{}, err

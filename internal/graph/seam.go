@@ -14,11 +14,12 @@ import (
 
 // RunSeam executes one streamed inter-module seam (the elided glue op the
 // whole-network scheduler models at a non-connectable boundary) on a
-// fresh simulated device under an explicit memory plan, with
-// deterministic random weights and input, verifying the segment-aware
-// kernel bit-exactly against the golden strided pointwise. The plan's gap
-// may exceed the solved minimum (wider separations are strictly safer);
-// the shadow-state checker still proves no live segment is clobbered.
+// pooled simulated device reset to New's state under an explicit memory
+// plan, with deterministic random weights and input, verifying the
+// segment-aware kernel bit-exactly against the golden strided pointwise.
+// The plan's gap may exceed the solved minimum (wider separations are
+// strictly safer); the shadow-state checker still proves no live segment
+// is clobbered.
 func RunSeam(profile mcu.Profile, spec plan.SeamSpec, p plan.Plan, seed int64) (ExecResult, error) {
 	if err := spec.Validate(); err != nil {
 		return ExecResult{}, err
@@ -30,7 +31,8 @@ func RunSeam(profile mcu.Profile, spec plan.SeamSpec, p plan.Plan, seed int64) (
 			spec.Name, need, poolBytes, p.WorkspaceBytes, profile.RAMBytes())
 	}
 	flashNeed := spec.Cout*spec.Cin + 4*spec.Cout + 64
-	dev := mcu.New(profile, flashNeed)
+	dev := acquireDevice(profile, flashNeed)
+	defer releaseDevice(dev)
 	pool, err := seg.NewPool(dev, 0, poolBytes, segsz)
 	if err != nil {
 		return ExecResult{}, err

@@ -12,9 +12,9 @@ import (
 )
 
 // RunSplitRegion executes a patch-split prefix region (plan.SplitPlan)
-// patch by patch on a fresh simulated device and verifies the re-joined
-// final activation bit-exactly against the golden composition of the
-// region's modules.
+// patch by patch on a pooled simulated device reset to New's state and
+// verifies the re-joined final activation bit-exactly against the golden
+// composition of the region's modules.
 //
 // The pool layout is exactly the SplitPlan's: the join region at offset 0,
 // then the two ping-pong scratch slots. Each patch streams its input-row
@@ -41,9 +41,10 @@ func RunSplitRegion(profile mcu.Profile, sp plan.SplitPlan, seed int64) (ExecRes
 	}
 	flashNeed := 0
 	for _, cfg := range mods {
-		flashNeed += cfg.Cmid*cfg.Cin + cfg.R*cfg.S*cfg.Cmid + cfg.Cout*cfg.Cmid + 4*(2*cfg.Cmid+cfg.Cout) + 64
+		flashNeed += bottleneckFlashBytes(cfg)
 	}
-	dev := mcu.New(profile, flashNeed)
+	dev := acquireDevice(profile, flashNeed)
+	defer releaseDevice(dev)
 	pool, err := seg.NewPool(dev, 0, poolBytes, sp.SegBytes)
 	if err != nil {
 		return ExecResult{}, err

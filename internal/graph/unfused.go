@@ -12,15 +12,15 @@ import (
 )
 
 // RunModuleUnfused executes the layers of a pointwise-stride-1 inverted
-// bottleneck separately — each with its own §4 single-layer plan — chained
-// through one circular pool with the offsets solved by plan.PlanChain (the
-// Eq. 2 difference system). The intermediate expansion tensor materializes
-// in full, which is exactly what the fused kernel avoids; this is the
-// fusion ablation, and — because it computes each expansion pixel once
-// instead of once per depthwise window row — the latency end of the
-// scheduler's policy tradeoff. A residual module pins its input disjoint
-// above the chain (conv1 keeps it) and finishes with the elementwise add
-// writing E over D's storage.
+// bottleneck separately, on a pooled device reset to New's state — each
+// with its own §4 single-layer plan — chained through one circular pool
+// with the offsets solved by plan.PlanChain (the Eq. 2 difference system).
+// The intermediate expansion tensor materializes in full, which is exactly
+// what the fused kernel avoids; this is the fusion ablation, and — because
+// it computes each expansion pixel once instead of once per depthwise
+// window row — the latency end of the scheduler's policy tradeoff. A
+// residual module pins its input disjoint above the chain (conv1 keeps it)
+// and finishes with the elementwise add writing E over D's storage.
 func RunModuleUnfused(profile mcu.Profile, cfg plan.Bottleneck, seed int64) (ExecResult, error) {
 	stages, eligible := plan.UnfusedStages(cfg)
 	if !eligible {
@@ -37,8 +37,8 @@ func RunModuleUnfused(profile mcu.Profile, cfg plan.Bottleneck, seed int64) (Exe
 
 	rng := rand.New(rand.NewSource(seed))
 	wt := randomBottleneckWeights(rng, cfg)
-	flashNeed := len(wt.W1) + len(wt.Wd) + len(wt.W2) + 4*(len(wt.B1)+len(wt.Bd)+len(wt.B2)) + 64
-	dev := mcu.New(profile, flashNeed)
+	dev := acquireDevice(profile, bottleneckFlashBytes(cfg))
+	defer releaseDevice(dev)
 	const segGran = 4 // the kernels address the pool byte-wise
 	capBytes := (chain.FootprintBytes + segGran - 1) / segGran * segGran
 	pool, err := seg.NewPool(dev, 0, capBytes, segGran)

@@ -44,14 +44,20 @@ func (c *Ctx) stage(n int) []byte {
 // RegAlloc allocates a register-file accumulator array of n int32 lanes
 // initialized to v, charging the zeroing/mov ALU ops.
 func (c *Ctx) RegAlloc(n int, v int32) []int32 {
-	c.Dev.CountALU(n)
 	r := make([]int32, n)
-	if v != 0 {
-		for i := range r {
-			r[i] = v
-		}
-	}
+	c.RegReset(r, v)
 	return r
+}
+
+// RegReset re-initializes the accumulator registers r to v, charging
+// exactly what RegAlloc(len(r), v) charges. A kernel allocates its
+// accumulators once per run and resets them for every output pixel, so
+// the pixel loop does not touch the host heap.
+func (c *Ctx) RegReset(r []int32, v int32) {
+	c.Dev.CountALU(len(r))
+	for i := range r {
+		r[i] = v
+	}
 }
 
 // RAMLoad loads n bytes of tensor owner at logical pool byte offset off

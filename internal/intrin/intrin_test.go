@@ -36,6 +36,25 @@ func TestRegAllocZeroAndInit(t *testing.T) {
 	}
 }
 
+// TestRegResetChargesLikeRegAlloc: resetting used registers to v yields
+// what RegAlloc(len(r), v) returns, at the same charge.
+func TestRegResetChargesLikeRegAlloc(t *testing.T) {
+	for _, v := range []int32{0, -7} {
+		alloc, reset := newCtx(t), newCtx(t)
+		want := alloc.RegAlloc(5, v)
+		r := []int32{1, 2, 3, 4, 5}
+		reset.RegReset(r, v)
+		for i := range want {
+			if r[i] != want[i] {
+				t.Fatalf("v=%d: RegReset gave %v, RegAlloc %v", v, r, want)
+			}
+		}
+		if alloc.Dev.Stats != reset.Dev.Stats {
+			t.Errorf("v=%d: RegReset charged %+v, RegAlloc %+v", v, reset.Dev.Stats, alloc.Dev.Stats)
+		}
+	}
+}
+
 func TestRAMStoreLoadRoundTrip(t *testing.T) {
 	c := newCtx(t)
 	id := c.Dev.NewTensorID("x")

@@ -216,6 +216,7 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 	bias1 := make([]int32, cfg.Cmid)
 	biasD := make([]int32, cfg.Cmid)
 	bias2 := make([]int32, cfg.Cout)
+	accD := make([]int32, cfg.Cmid) // depthwise accumulators, reset per C pixel
 	c.FlashLoadInt32(bias1, k.b1, 0)
 	c.FlashLoadInt32(biasD, k.bd, 0)
 	c.FlashLoadInt32(bias2, k.b2, 0)
@@ -307,7 +308,7 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 				ensureColumn(slot, bh0, bw)
 			}
 			// Depthwise: accumulate over the window from the workspace.
-			accD := c.RegAlloc(cfg.Cmid, 0)
+			c.RegReset(accD, 0)
 			copy(accD, biasD)
 			for r := 0; r < cfg.R; r++ {
 				bh := bh0 + r

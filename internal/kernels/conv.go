@@ -57,6 +57,7 @@ func (k *Conv2D) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error
 	aBuf := make([]int8, sp.C)
 	oBuf := make([]int8, sp.K)
 	biasBuf := make([]int32, sp.K)
+	acc := make([]int32, sp.K) // accumulators, reset per output pixel
 	if k.Bias.Len != 0 {
 		c.FlashLoadInt32(biasBuf, k.Bias, 0)
 	}
@@ -64,7 +65,7 @@ func (k *Conv2D) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error
 	freed := 0 // input rows [0, freed) already released
 	for op := 0; op < oh; op++ {
 		for oq := 0; oq < ow; oq++ {
-			acc := c.RegAlloc(sp.K, 0)
+			c.RegReset(acc, 0)
 			if k.Bias.Len != 0 {
 				copy(acc, biasBuf)
 			}
@@ -151,6 +152,7 @@ func (k *Depthwise) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, er
 	wBuf := make([]int8, k.C)
 	oBuf := make([]int8, k.C)
 	biasBuf := make([]int32, k.C)
+	acc := make([]int32, k.C) // accumulators, reset per output pixel
 	if k.Bias.Len != 0 {
 		c.FlashLoadInt32(biasBuf, k.Bias, 0)
 	}
@@ -158,7 +160,7 @@ func (k *Depthwise) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, er
 	freed := 0
 	for op := 0; op < oh; op++ {
 		for oq := 0; oq < ow; oq++ {
-			acc := c.RegAlloc(k.C, 0)
+			c.RegReset(acc, 0)
 			if k.Bias.Len != 0 {
 				copy(acc, biasBuf)
 			}

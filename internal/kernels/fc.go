@@ -69,11 +69,12 @@ func (f *FC) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error) {
 	aBuf := make([]int8, seg)
 	oBuf := make([]int8, seg)
 	biasBuf := make([]int32, seg)
+	acc := make([]int32, seg) // accumulators, reset per output segment
 
 	for m := 0; m < f.M; m++ {
 		for ns := 0; ns < nSegs; ns++ {
 			n0 := ns * seg
-			acc := c.RegAlloc(seg, 0)
+			c.RegReset(acc, 0)
 			if f.Bias.Len != 0 {
 				c.FlashLoadInt32(biasBuf, f.Bias, n0)
 				for i := range acc {

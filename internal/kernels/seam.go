@@ -62,6 +62,7 @@ func (k *Seam) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error) 
 	aBuf := make([]int8, sp.Cin)
 	oBuf := make([]int8, sp.Cout)
 	biasBuf := make([]int32, sp.Cout)
+	acc := make([]int32, sp.Cout) // accumulators, reset per output pixel
 	if k.Bias.Len != 0 {
 		c.FlashLoadInt32(biasBuf, k.Bias, 0)
 	}
@@ -71,7 +72,7 @@ func (k *Seam) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error) 
 		for oq := 0; oq < ow; oq++ {
 			elem := (op*sp.Stride*sp.W + oq*sp.Stride) * sp.Cin
 			c.RAMLoad(aBuf, in.Off+elem, in.ID, elem)
-			acc := c.RegAlloc(sp.Cout, 0)
+			c.RegReset(acc, 0)
 			if k.Bias.Len != 0 {
 				copy(acc, biasBuf)
 			}

@@ -80,6 +80,7 @@ type Device struct {
 
 	ram       []byte
 	shadow    []cell
+	touched   int // RAM and shadow are zero from here up
 	flash     []byte
 	flashUsed int
 
@@ -100,13 +101,39 @@ type Device struct {
 // New creates a Device with the profile's RAM size and the given Flash
 // capacity in bytes.
 func New(p Profile, flashBytes int) *Device {
-	return &Device{
+	d := &Device{
+		ram:         make([]byte, p.RAMBytes()),
+		shadow:      make([]cell, p.RAMBytes()),
+		tensorNames: map[TensorID]string{},
+	}
+	d.Reset(p, flashBytes)
+	return d
+}
+
+// Reset returns the device to exactly the state New(p, flashBytes)
+// builds, reusing its RAM, shadow and Flash arrays. Only the RAM below the
+// highest end any write or claim has reached, and the used part of Flash,
+// can be nonzero, so only they are cleared. p must have the device's RAM
+// size; a different size is a caller bug and panics.
+func (d *Device) Reset(p Profile, flashBytes int) {
+	if p.RAMBytes() != len(d.ram) {
+		panic(fmt.Sprintf("mcu: Reset to %d bytes of RAM on a %d-byte device", p.RAMBytes(), len(d.ram)))
+	}
+	clear(d.ram[:d.touched])
+	clear(d.shadow[:d.touched])
+	clear(d.flash[:d.flashUsed])
+	if cap(d.flash) < flashBytes {
+		d.flash = make([]byte, flashBytes)
+	}
+	d.flash = d.flash[:flashBytes]
+	clear(d.tensorNames)
+	*d = Device{
 		Profile:      p,
-		ram:          make([]byte, p.RAMBytes()),
-		shadow:       make([]cell, p.RAMBytes()),
-		flash:        make([]byte, flashBytes),
+		ram:          d.ram,
+		shadow:       d.shadow,
+		flash:        d.flash,
 		nextTensorID: 1,
-		tensorNames:  map[TensorID]string{},
+		tensorNames:  d.tensorNames,
 	}
 }
 
@@ -162,6 +189,13 @@ func (d *Device) inRAM(addr, n int) bool {
 	return addr >= 0 && n >= 0 && addr+n <= len(d.ram)
 }
 
+// touch extends the touched extent over [0, end) before a write or claim.
+func (d *Device) touch(end int) {
+	if end > d.touched {
+		d.touched = end
+	}
+}
+
 // ErrOutOfMemory is returned when an allocation exceeds RAM capacity.
 var ErrOutOfMemory = errors.New("mcu: out of RAM")
 
@@ -183,6 +217,7 @@ func (d *Device) Write(addr int, src []byte) {
 		d.record(Violation{Kind: OutOfBounds, Addr: addr})
 		return
 	}
+	d.touch(addr + len(src))
 	copy(d.ram[addr:addr+len(src)], src)
 	d.Stats.RAMWriteBytes += uint64(len(src))
 }
@@ -203,6 +238,7 @@ func (d *Device) WriteRaw(addr int, src []byte) {
 		d.record(Violation{Kind: OutOfBounds, Addr: addr})
 		return
 	}
+	d.touch(addr + len(src))
 	copy(d.ram[addr:addr+len(src)], src)
 }
 
@@ -216,6 +252,7 @@ func (d *Device) ClaimRegion(addr, n int, id TensorID, elem0 int) {
 		d.record(Violation{Kind: OutOfBounds, Addr: addr})
 		return
 	}
+	d.touch(addr + n)
 	for i := 0; i < n; i++ {
 		if d.shadow[addr+i].owner == FreeOwner {
 			d.liveBytes++
@@ -236,6 +273,7 @@ func (d *Device) WriteTagged(addr int, src []byte, id TensorID, elem0 int) {
 		d.record(Violation{Kind: OutOfBounds, Addr: addr})
 		return
 	}
+	d.touch(addr + len(src))
 	copy(d.ram[addr:addr+len(src)], src)
 	for i := range src {
 		if d.shadow[addr+i].owner == FreeOwner {
@@ -339,15 +377,6 @@ func (d *Device) PeakBytes() int { return d.peakBytes }
 
 // ResetPeak restarts the watermark from the current live amount.
 func (d *Device) ResetPeak() { d.peakBytes = d.liveBytes }
-
-// ReleaseAll clears all shadow ownership (between independent experiments).
-func (d *Device) ReleaseAll() {
-	for i := range d.shadow {
-		d.shadow[i] = cell{}
-	}
-	d.liveBytes = 0
-	d.peakBytes = 0
-}
 
 // --- Flash. ---
 

@@ -192,16 +192,6 @@ func TestFlashAllocAndRead(t *testing.T) {
 	}
 }
 
-func TestReleaseAll(t *testing.T) {
-	d := newTestDevice()
-	id := d.NewTensorID("t")
-	d.WriteTagged(0, make([]byte, 10), id, 0)
-	d.ReleaseAll()
-	if d.LiveBytes() != 0 || d.PeakBytes() != 0 {
-		t.Error("ReleaseAll did not clear accounting")
-	}
-}
-
 func TestStatsSubAndAdd(t *testing.T) {
 	a := Stats{RAMReadBytes: 10, MACs: 5, Calls: 1}
 	b := Stats{RAMReadBytes: 4, MACs: 2}

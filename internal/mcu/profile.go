@@ -4,8 +4,8 @@
 // cycle/energy model for the two boards used in the paper
 // (STM32-F411RE, Cortex-M4, 128 KB RAM; STM32-F767ZI, Cortex-M7, 512 KB).
 //
-// The simulator's RAM carries shadow metadata per byte (owning tensor,
-// element index, generation) so that the "silent error in correctness" the
+// The simulator's RAM carries shadow metadata per byte (owning tensor and
+// element index) so that the "silent error in correctness" the
 // paper warns about — an output segment overwriting an input segment that
 // is still needed — is detected and reported instead of silently corrupting
 // results. This is the mechanism the test suite uses to prove the ILP

@@ -35,9 +35,9 @@ type RunResult struct {
 
 // Run plans the network through the cache and executes every unit's
 // verification under its scheduled policy. Unit verifications are
-// independent (each builds its own simulated device with deterministic
-// per-module seeds, exactly like graph.Network.Run), so they run
-// concurrently on a bounded worker pool; results keep network order.
+// independent (each runs on a pooled device reset to New's state, with
+// deterministic per-module seeds, exactly like graph.Network.Run), so they
+// run concurrently on a bounded worker pool; results keep network order.
 func Run(profile mcu.Profile, net graph.Network, seed int64, opts Options, cache *Cache) (*RunResult, error) {
 	return RunTraced(profile, net, seed, opts, cache, nil, 0, 0, "")
 }
