@@ -30,17 +30,13 @@ func within(t *testing.T, name string, prof mcu.Profile, got, want mcu.Stats) {
 	}
 }
 
-// fusedCases covers the fused replay's corner geometry: residual modules,
-// strided conv1 (B1), strided depthwise with a large window (B2), and a
-// plain stride-1 module.
+// fusedCases is every VWW and ImageNet module, so each corner geometry
+// the networks hold proves exact counter equality on its own: residual
+// modules, strided conv1 (B1), strided depthwise, R = 5 and R = 7 windows,
+// and plain stride-1 modules. Whole-network sums alone could hide
+// compensating errors.
 func fusedCases() []plan.Bottleneck {
-	vww, imnet := graph.VWW(), graph.ImageNet()
-	return []plan.Bottleneck{
-		vww.Modules[0],   // S1: residual
-		vww.Modules[2],   // S3: stride-1, unfused-eligible
-		imnet.Modules[0], // B1: S1=2
-		imnet.Modules[1], // B2: R=7, S2=2
-	}
+	return append(graph.VWW().Modules, graph.ImageNet().Modules...)
 }
 
 func TestFusedModuleMatchesExecutedCounters(t *testing.T) {

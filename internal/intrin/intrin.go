@@ -144,6 +144,30 @@ func (c *Ctx) FlashDot(a []int8, ref mcu.FlashRef, off int, acc *int32) {
 	c.chargeDot(len(a))
 }
 
+// ChargeFlashDotRows charges exactly what rows calls FlashDot(a, ref,
+// off+i·n, &acc) with len(a) = n, each followed by one Requantize, charge:
+// the Flash traffic of every weight row (or, for a row past the device's
+// Flash, its OutOfBounds violation), n MACs and n ALU ops per row, and the
+// requantize ALU ops. A kernel that already holds the rows' int8 results
+// calls it instead of recomputing them, so the device is billed for the
+// work it models while the host skips the arithmetic.
+func (c *Ctx) ChargeFlashDotRows(ref mcu.FlashRef, off, n, rows int) {
+	span := rows * n
+	if off < 0 || off+span > ref.Len {
+		panic(fmt.Sprintf("intrin: flash dot rows [%d,%d) outside blob of %d bytes", off, off+span, ref.Len))
+	}
+	if start := ref.Off + off; start >= 0 && start+span <= c.Dev.FlashSize() {
+		c.Dev.FlashView(start, span)
+	} else {
+		// Each row past the device's Flash records its own violation.
+		for i := 0; i < rows; i++ {
+			c.Dev.FlashView(start+i*n, n)
+		}
+	}
+	c.chargeDot(span)
+	c.Dev.CountALU(rows * requantizeALU)
+}
+
 // chargeDot charges an n-element dot product: per group of four, two
 // SMLADs (four MACs) and four SXTB16/ROR widening ops; per tail element,
 // one MAC and one ALU op.
@@ -181,10 +205,13 @@ func (c *Ctx) Dot(a0, a1, b0, b1 []int8, acc *[4]int32) {
 	c.DotVec(a1, b1, &acc[3])
 }
 
+// requantizeALU is the ALU cost of one Requantize.
+const requantizeALU = 4
+
 // Requantize converts an int32 accumulator to int8 output, charging the
 // fixed-point multiply/shift/saturate sequence (~4 ALU ops).
 func (c *Ctx) Requantize(acc int32, req tensor.Requant) int8 {
-	c.Dev.CountALU(4)
+	c.Dev.CountALU(requantizeALU)
 	return req.Apply(acc)
 }
 

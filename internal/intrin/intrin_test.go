@@ -301,6 +301,56 @@ func TestFlashDotOutOfRange(t *testing.T) {
 	}
 }
 
+// TestChargeFlashDotRowsMatchesFlashDotRequantize: the charge a kernel
+// pays for a B pixel it already holds leaves Stats and the violation log
+// exactly as the rows FlashDot+Requantize calls it stands for, inside
+// Flash and for rows that run past the device's Flash.
+func TestChargeFlashDotRowsMatchesFlashDotRequantize(t *testing.T) {
+	req := tensor.NewRequant(0.02, 0)
+	for _, cse := range []struct {
+		name          string
+		ref           mcu.FlashRef
+		off, n, rows  int
+		wantViolating int
+	}{
+		{"in flash", mcu.FlashRef{Off: 5, Len: 400}, 3, 16, 24, 0},
+		{"one row", mcu.FlashRef{Off: 0, Len: 8}, 0, 8, 1, 0},
+		{"tail element rows", mcu.FlashRef{Off: 11, Len: 300}, 7, 3, 80, 0},
+		{"empty rows", mcu.FlashRef{Off: 0, Len: 0}, 0, 0, 48, 0},
+		{"past device flash", mcu.FlashRef{Off: 1<<16 - 40, Len: 96}, 8, 16, 5, 3},
+	} {
+		stats := func(charge func(c *Ctx)) (mcu.Stats, []mcu.Violation) {
+			c := newCtx(t)
+			if _, err := c.Dev.FlashAlloc(make([]byte, 1024)); err != nil {
+				t.Fatal(err)
+			}
+			charge(c)
+			vs, _ := c.Dev.Violations()
+			return c.Dev.Stats, vs
+		}
+		want, wantV := stats(func(c *Ctx) {
+			a := make([]int8, cse.n)
+			for i := 0; i < cse.rows; i++ {
+				var acc int32
+				c.FlashDot(a, cse.ref, cse.off+i*cse.n, &acc)
+				c.Requantize(acc, req)
+			}
+		})
+		got, gotV := stats(func(c *Ctx) { c.ChargeFlashDotRows(cse.ref, cse.off, cse.n, cse.rows) })
+		if got != want {
+			t.Errorf("%s: charged %+v, FlashDot+Requantize %+v", cse.name, got, want)
+		}
+		if len(wantV) != cse.wantViolating || len(gotV) != len(wantV) {
+			t.Fatalf("%s: %d violations, FlashDot+Requantize %d, want %d", cse.name, len(gotV), len(wantV), cse.wantViolating)
+		}
+		for i := range wantV {
+			if gotV[i] != wantV[i] {
+				t.Errorf("%s: violation %d = %v, FlashDot+Requantize %v", cse.name, i, gotV[i], wantV[i])
+			}
+		}
+	}
+}
+
 func TestDot2x2x16(t *testing.T) {
 	c := newCtx(t)
 	rng := rand.New(rand.NewSource(9))

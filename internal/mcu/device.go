@@ -417,6 +417,9 @@ func (d *Device) FlashView(off, n int) []byte {
 	return d.flash[off : off+n : off+n]
 }
 
+// FlashSize returns the Flash capacity in bytes.
+func (d *Device) FlashSize() int { return len(d.flash) }
+
 // FlashUsed returns the bytes of Flash currently allocated.
 func (d *Device) FlashUsed() int { return d.flashUsed }
 

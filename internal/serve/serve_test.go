@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -194,13 +195,19 @@ func TestServeDeadlineShed(t *testing.T) {
 	if err := s.Register("impatient", tinyModel(), ModelConfig{MaxQueueWait: 10 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
+	// The gate holds the first execution, the VWW run, until the
+	// impatient request has its verdict; later executions pass.
+	var held atomic.Bool
+	gate := newExecGate(func(*device) bool { return held.CompareAndSwap(false, true) })
+	s.testExecGate = gate.hook
 	busy, err := s.Submit("vww", SubmitOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitResident(t, busy)
-	// The pool is fully reserved by the VWW run (tens of ms at least), so
-	// the impatient request cannot be admitted before its deadline.
+	gate.waitHeld(t, 1)
+	// The pool is fully reserved by the held VWW run, so the impatient
+	// request cannot be admitted before its deadline.
 	shed, err := s.Submit("impatient", SubmitOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -211,6 +218,7 @@ func TestServeDeadlineShed(t *testing.T) {
 	if shed.State() != StateRejected {
 		t.Errorf("shed state = %v, want rejected", shed.State())
 	}
+	close(gate.release)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
