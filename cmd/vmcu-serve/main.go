@@ -155,6 +155,21 @@ func parseMix(spec string) ([]string, error) {
 	return pattern, nil
 }
 
+// checkLoad rejects load-generator flags that cannot drive traffic: a
+// non-positive open-loop rate, or a closed loop with no requests or no
+// workers.
+func checkLoad(open bool, rate float64, requests, concurrency int) error {
+	switch {
+	case open && rate <= 0:
+		return fmt.Errorf("open-loop -rate must be positive, got %v", rate)
+	case !open && requests <= 0:
+		return fmt.Errorf("closed-loop -requests must be positive, got %d", requests)
+	case !open && concurrency <= 0:
+		return fmt.Errorf("closed-loop -concurrency must be positive, got %d", concurrency)
+	}
+	return nil
+}
+
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "vmcu-serve: %v\n", err)
 	os.Exit(1)
@@ -206,8 +221,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *open && *rate <= 0 {
-		fatal(fmt.Errorf("open-loop -rate must be positive, got %v", *rate))
+	if err := checkLoad(*open, *rate, *requests, *concurrency); err != nil {
+		fatal(err)
 	}
 	pattern, err := parseMix(*mixSpec)
 	if err != nil {

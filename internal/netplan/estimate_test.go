@@ -125,74 +125,85 @@ func TestEstimateSeparatesGlueFromExecuted(t *testing.T) {
 	}
 }
 
-// TestParetoFrontierImageNet is the acceptance bar: the frontier holds at
-// least three non-dominated plans, its memory-optimal plan is the 66.0 KB
-// split schedule with 125 recomputed halo rows, and the latency-optimal
-// plan buys its speed with strictly fewer recomputed rows.
+// TestParetoFrontierImageNet is the acceptance bar, with VWW alongside:
+// each frontier has its pinned size, its memory-optimal plan is the
+// scheduler's min-peak schedule (ImageNet: the 66.0 KB split schedule
+// with 125 recomputed halo rows), and its latency-optimal plan buys its
+// speed with a larger peak (ImageNet: and fewer recomputed rows). Both
+// endpoints' M4 cycle estimates are pinned exactly.
 func TestParetoFrontierImageNet(t *testing.T) {
-	net := graph.ImageNet()
-	vs, err := Pareto(mcu.CortexM4(), net, Options{})
-	if err != nil {
-		t.Fatal(err)
+	// An endpoint is a plan's peak bytes, recomputed rows and M4 cycles.
+	type endpoint struct {
+		peak, recompute int
+		cycles          float64
 	}
-	if len(vs) < 3 {
-		t.Fatalf("frontier has %d plans, want ≥ 3", len(vs))
-	}
-	memOpt, latOpt := vs[0], vs[0]
-	for _, v := range vs[1:] {
-		if v.Plan.PeakBytes < memOpt.Plan.PeakBytes {
-			memOpt = v
-		}
-		if v.Est.Cycles < latOpt.Est.Cycles {
-			latOpt = v
-		}
-	}
-	minPeak, err := Plan(net, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if memOpt.Plan.PeakBytes != minPeak.PeakBytes {
-		t.Errorf("frontier memory-optimal peak %d, scheduler's min-peak %d",
-			memOpt.Plan.PeakBytes, minPeak.PeakBytes)
-	}
-	if memOpt.Plan.PeakBytes != 65968 { // the 66.0 KB schedule of the peak table
-		t.Errorf("memory-optimal peak %d bytes, want 65968 (66.0 KB)", memOpt.Plan.PeakBytes)
-	}
-	if memOpt.RecomputedRows != 125 {
-		t.Errorf("memory-optimal recomputes %d rows, want 125", memOpt.RecomputedRows)
-	}
-	if latOpt.RecomputedRows >= memOpt.RecomputedRows {
-		t.Errorf("latency-optimal recomputes %d rows, not below the memory-optimal's %d",
-			latOpt.RecomputedRows, memOpt.RecomputedRows)
-	}
-	if latOpt.Est.Cycles >= memOpt.Est.Cycles {
-		t.Errorf("latency-optimal %.0f cycles not below memory-optimal %.0f",
-			latOpt.Est.Cycles, memOpt.Est.Cycles)
-	}
-	// Every frontier plan re-derives exactly through its pinned options —
-	// the property serve's variant execution depends on.
-	for _, v := range []Variant{memOpt, latOpt} {
-		np, err := Plan(net, v.Opts)
-		if err != nil {
-			t.Fatalf("%s: pinned re-solve failed: %v", v.Desc, err)
-		}
-		if np.Fingerprint() != v.Plan.Fingerprint() {
-			t.Errorf("%s: pinned options do not reproduce the frontier plan", v.Desc)
-		}
-	}
-	// No frontier member dominates another.
-	for i, a := range vs {
-		for j, b := range vs {
-			if i == j {
-				continue
+	for _, tc := range []struct {
+		net  graph.Network
+		size int
+		want [2]endpoint // memory-optimal, latency-optimal
+	}{
+		{graph.ImageNet(), 17, [2]endpoint{{65968, 125, 373892082}, {196656, 2, 197672326}}},
+		{graph.VWW(), 2, [2]endpoint{{13296, 0, 24971806}, {26608, 0, 15726662}}},
+	} {
+		t.Run(tc.net.Name, func(t *testing.T) {
+			net := tc.net
+			vs, err := Pareto(mcu.CortexM4(), net, Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if b.Plan.PeakBytes <= a.Plan.PeakBytes && b.Est.Cycles <= a.Est.Cycles &&
-				b.Est.EnergyJoules <= a.Est.EnergyJoules &&
-				(b.Plan.PeakBytes < a.Plan.PeakBytes || b.Est.Cycles < a.Est.Cycles ||
-					b.Est.EnergyJoules < a.Est.EnergyJoules) {
-				t.Errorf("frontier member %q dominates %q", b.Desc, a.Desc)
+			if len(vs) != tc.size {
+				t.Fatalf("frontier has %d plans, want %d", len(vs), tc.size)
 			}
-		}
+			memOpt, latOpt := vs[0], vs[0]
+			for _, v := range vs[1:] {
+				if v.Plan.PeakBytes < memOpt.Plan.PeakBytes {
+					memOpt = v
+				}
+				if v.Est.Cycles < latOpt.Est.Cycles {
+					latOpt = v
+				}
+			}
+			minPeak, err := Plan(net, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if memOpt.Plan.PeakBytes != minPeak.PeakBytes {
+				t.Errorf("frontier memory-optimal peak %d, scheduler's min-peak %d",
+					memOpt.Plan.PeakBytes, minPeak.PeakBytes)
+			}
+			got := [2]endpoint{
+				{memOpt.Plan.PeakBytes, memOpt.RecomputedRows, memOpt.Est.Cycles},
+				{latOpt.Plan.PeakBytes, latOpt.RecomputedRows, latOpt.Est.Cycles},
+			}
+			if got != tc.want {
+				t.Errorf("memory- and latency-optimal endpoints %+v, want %+v", got, tc.want)
+			}
+			// Every frontier plan re-derives exactly through its pinned
+			// options — the property serve's variant execution depends on.
+			for _, v := range []Variant{memOpt, latOpt} {
+				np, err := Plan(net, v.Opts)
+				if err != nil {
+					t.Fatalf("%s: pinned re-solve failed: %v", v.Desc, err)
+				}
+				if np.Fingerprint() != v.Plan.Fingerprint() {
+					t.Errorf("%s: pinned options do not reproduce the frontier plan", v.Desc)
+				}
+			}
+			// No frontier member dominates another.
+			for i, a := range vs {
+				for j, b := range vs {
+					if i == j {
+						continue
+					}
+					if b.Plan.PeakBytes <= a.Plan.PeakBytes && b.Est.Cycles <= a.Est.Cycles &&
+						b.Est.EnergyJoules <= a.Est.EnergyJoules &&
+						(b.Plan.PeakBytes < a.Plan.PeakBytes || b.Est.Cycles < a.Est.Cycles ||
+							b.Est.EnergyJoules < a.Est.EnergyJoules) {
+						t.Errorf("frontier member %q dominates %q", b.Desc, a.Desc)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -64,7 +64,7 @@ func overCommitMonitor(s *Server, stop <-chan struct{}, violations *atomic.Int32
 
 // assertAccounting checks the submission ledger: every accepted
 // submission resolved into exactly one terminal class.
-func assertAccounting(t *testing.T, m Metrics) {
+func assertAccounting(t testing.TB, m Metrics) {
 	t.Helper()
 	resolved := m.Completed + m.Failed + m.Canceled + m.ShedDeadline + m.DeviceLost
 	if m.Submitted != resolved {
