@@ -205,7 +205,7 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "per-request admission deadline (0 = none)")
 	degradeDepth := flag.Int("degrade-depth", 0, "queue depth engaging degraded (smallest-peak) admission; 0 = 3/4 of -queue, negative disables")
 	churnEvery := flag.Duration("churn-every", 0, "crash one device and add a replacement on this interval during load (0 = no churn)")
-	seed := flag.Int64("seed", 0, "base verification seed; request i runs seed+i, so runs are reproducible")
+	seed := flag.Int64("seed", 0, "base input seed; request i runs its model on the input of seed+i, so runs are reproducible (the weights belong to the model)")
 	pareto := flag.Bool("pareto", false, "register each model's Pareto plan-variant frontier (admission picks the fastest fitting variant)")
 	latencyBudget := flag.Duration("latency-budget", 0, "per-request on-device inference budget in simulated device time (0 = none)")
 	out := flag.String("o", "", "write the JSON snapshot to this file (default stdout)")

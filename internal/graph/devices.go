@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"github.com/vmcu-project/vmcu/internal/mcu"
-	"github.com/vmcu-project/vmcu/internal/plan"
 )
 
 // devicePools holds idle simulated devices, one *sync.Pool per RAM size
@@ -34,11 +33,4 @@ func devicePool(ramBytes int) *sync.Pool {
 	}
 	pl, _ := devicePools.LoadOrStore(ramBytes, new(sync.Pool))
 	return pl.(*sync.Pool)
-}
-
-// bottleneckFlashBytes is the Flash a fused or unfused bottleneck module
-// needs: its three int8 weight tensors, its three int32 bias vectors, and
-// 64 bytes of slack.
-func bottleneckFlashBytes(cfg plan.Bottleneck) int {
-	return cfg.Cmid*cfg.Cin + cfg.R*cfg.S*cfg.Cmid + cfg.Cout*cfg.Cmid + 4*(2*cfg.Cmid+cfg.Cout) + 64
 }

@@ -9,6 +9,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/vmcu-project/vmcu/internal/baseline"
 	"github.com/vmcu-project/vmcu/internal/intrin"
@@ -16,7 +17,6 @@ import (
 	"github.com/vmcu-project/vmcu/internal/mcu"
 	"github.com/vmcu-project/vmcu/internal/plan"
 	"github.com/vmcu-project/vmcu/internal/seg"
-	"github.com/vmcu-project/vmcu/internal/tensor"
 )
 
 // Network is a named stack of inverted-bottleneck modules.
@@ -145,13 +145,27 @@ func RunModule(profile mcu.Profile, cfg plan.Bottleneck, seed int64) (ExecResult
 	return RunModuleWithPlan(profile, cfg, plan.PlanBottleneckModule(cfg), seed)
 }
 
-// RunModuleWithPlan executes one module on a pooled device reset to New's
-// state under an explicit memory plan — the minimal solved plan, or a
-// scheduler-chosen variant such as the disjoint baseline placement
-// (netplan.PolicyBaseline). The plan's gap may exceed the solved minimum
-// (wider separations are strictly safer) but the shadow-state checker
-// still proves no live segment is clobbered.
+// RunModuleWithPlan is ExecModule with the module's weights and then its
+// input drawn from one stream seeded by seed.
 func RunModuleWithPlan(profile mcu.Profile, cfg plan.Bottleneck, p plan.Plan, seed int64) (ExecResult, error) {
+	rng := rand.New(rand.NewSource(seed))
+	mw, err := drawModule(rng, cfg)
+	if err != nil {
+		return ExecResult{}, err
+	}
+	return ExecModule(profile, mw, p, rng)
+}
+
+// ExecModule executes one module with weights mw on a pooled device reset
+// to New's state under an explicit memory plan — the minimal solved plan,
+// or a scheduler-chosen variant such as the disjoint baseline placement
+// (netplan.PolicyBaseline). It loads mw's prebuilt Flash image, draws the
+// input from rng, and verifies the fused kernel's output against the
+// golden composition. The plan's gap may exceed the solved minimum (wider
+// separations are strictly safer) but the shadow-state checker still
+// proves no live segment is clobbered.
+func ExecModule(profile mcu.Profile, mw *ModuleWeights, p plan.Plan, rng *rand.Rand) (ExecResult, error) {
+	cfg := mw.Cfg
 	segsz := p.SegBytes
 	poolBytes := (p.FootprintBytes - p.WorkspaceBytes + segsz - 1) / segsz * segsz
 	if need := poolBytes + p.WorkspaceBytes; need > profile.RAMBytes() {
@@ -161,51 +175,40 @@ func RunModuleWithPlan(profile mcu.Profile, cfg plan.Bottleneck, p plan.Plan, se
 		return ExecResult{}, fmt.Errorf("graph: module %s needs %d bytes (pool %d + workspace %d), device has %d",
 			cfg.Name, need, poolBytes, p.WorkspaceBytes, profile.RAMBytes())
 	}
-	dev := acquireDevice(profile, bottleneckFlashBytes(cfg))
+	dev := acquireDevice(profile, mw.Image.Bytes()+flashSlack)
 	defer releaseDevice(dev)
 	pool, err := seg.NewPool(dev, 0, poolBytes, segsz)
 	if err != nil {
 		return ExecResult{}, err
 	}
 	ctx := intrin.NewCtx(dev, pool)
-
-	rng := rand.New(rand.NewSource(seed))
-	wt := randomBottleneckWeights(rng, cfg)
-	kn, err := kernels.NewBottleneck(dev, cfg, wt)
+	kn, err := kernels.LoadBottleneck(dev, cfg, mw.BottleneckWeights, mw.Image)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	in := make([]int8, cfg.H*cfg.W*cfg.Cin)
-	for i := range in {
-		in[i] = int8(rng.Intn(255) - 127)
-	}
+	in := drawInt8(rng, cfg.H*cfg.W*cfg.Cin)
 	inPl := kernels.PlaceInput(ctx, cfg.Name+".A", in, p.GapBytes())
 	dev.ResetPeak()
 	out, err := kn.Run(ctx, p, inPl, poolBytes)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	got := kernels.Extract(ctx, out)
 	want := kernels.GoldenBottleneck(in, cfg.H, cfg.W, cfg.Cin, cfg.Cmid, cfg.Cout,
-		cfg.R, cfg.S, cfg.S1, cfg.S2, cfg.S3, wt, cfg.Residual())
-	ok := len(got) == len(want)
-	if ok {
-		for i := range want {
-			if got[i] != want[i] {
-				ok = false
-				break
-			}
-		}
-	}
+		cfg.R, cfg.S, cfg.S1, cfg.S2, cfg.S3, mw.BottleneckWeights, cfg.Residual())
+	return result(cfg.Name, p, dev, slices.Equal(kernels.Extract(ctx, out), want)), nil
+}
+
+// result reports a finished unit run on dev.
+func result(name string, p plan.Plan, dev *mcu.Device, outputOK bool) ExecResult {
 	_, nViol := dev.Violations()
 	return ExecResult{
-		Name:       cfg.Name,
+		Name:       name,
 		Plan:       p,
 		Stats:      dev.Stats,
 		PeakBytes:  dev.PeakBytes(),
 		Violations: nViol,
-		OutputOK:   ok,
-	}, nil
+		OutputOK:   outputOK,
+	}
 }
 
 // Run executes every module of the network under the profile.
@@ -219,29 +222,4 @@ func (n Network) Run(profile mcu.Profile, seed int64) ([]ExecResult, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-func randomBottleneckWeights(rng *rand.Rand, cfg plan.Bottleneck) kernels.BottleneckWeights {
-	ri8 := func(n int) []int8 {
-		out := make([]int8, n)
-		for i := range out {
-			out[i] = int8(rng.Intn(255) - 127)
-		}
-		return out
-	}
-	ri32 := func(n int) []int32 {
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = int32(rng.Intn(1<<9) - 1<<8)
-		}
-		return out
-	}
-	return kernels.BottleneckWeights{
-		W1: ri8(cfg.Cmid * cfg.Cin), B1: ri32(cfg.Cmid),
-		Wd: ri8(cfg.R * cfg.S * cfg.Cmid), Bd: ri32(cfg.Cmid),
-		W2: ri8(cfg.Cout * cfg.Cmid), B2: ri32(cfg.Cout),
-		Req1: tensor.NewRequant(0.01, 0),
-		ReqD: tensor.NewRequant(0.05, 0),
-		Req2: tensor.NewRequant(0.01, 0),
-	}
 }

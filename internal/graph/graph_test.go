@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/vmcu-project/vmcu/internal/mcu"
@@ -253,5 +254,18 @@ func TestNoAccuracyLossFusedVsUnfused(t *testing.T) {
 	// while the memory strategies differ by 4x.
 	if fused.Plan.FootprintBytes >= unfused.Plan.FootprintBytes {
 		t.Error("fused plan shows no memory advantage")
+	}
+}
+
+// TestDrawInt8MatchesIntn pins drawInt8 to the stream rng.Intn(255)-127
+// yields, the draw every seeded executor has always made.
+func TestDrawInt8MatchesIntn(t *testing.T) {
+	for _, seed := range []int64{0, 1, 12345} {
+		ref := rand.New(rand.NewSource(seed))
+		for i, v := range drawInt8(rand.New(rand.NewSource(seed)), 100000) {
+			if want := int8(ref.Intn(255) - 127); v != want {
+				t.Fatalf("seed %d: value %d is %d, want %d", seed, i, v, want)
+			}
+		}
 	}
 }

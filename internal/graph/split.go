@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/vmcu-project/vmcu/internal/intrin"
 	"github.com/vmcu-project/vmcu/internal/kernels"
@@ -11,7 +12,30 @@ import (
 	"github.com/vmcu-project/vmcu/internal/seg"
 )
 
-// RunSplitRegion executes a patch-split prefix region (plan.SplitPlan)
+// RunSplitRegion is ExecSplitRegion with seeded weights: module i of the
+// region draws its weights from seed+i, exactly as the per-module
+// executors draw theirs, so a split region is verified against the same
+// parameters an unsplit run of the same modules would use. The input is
+// drawn after module 0's weights, from the same stream, as
+// RunModuleWithPlan draws it.
+func RunSplitRegion(profile mcu.Profile, sp plan.SplitPlan, seed int64) (ExecResult, error) {
+	mods := sp.Spec.Modules
+	mws := make([]*ModuleWeights, len(mods))
+	var rng0 *rand.Rand
+	for i, cfg := range mods {
+		rng := rand.New(rand.NewSource(seed + int64(i)))
+		if i == 0 {
+			rng0 = rng
+		}
+		var err error
+		if mws[i], err = drawModule(rng, cfg); err != nil {
+			return ExecResult{}, err
+		}
+	}
+	return ExecSplitRegion(profile, sp, mws, rng0)
+}
+
+// ExecSplitRegion executes a patch-split prefix region (plan.SplitPlan)
 // patch by patch on a pooled simulated device reset to New's state and
 // verifies the re-joined final activation bit-exactly against the golden
 // composition of the region's modules.
@@ -25,13 +49,15 @@ import (
 // final module's rows straight into the join region. Halo rows are
 // recomputed by each patch, so patches are fully independent.
 //
-// The per-module seeds match the per-module executors: module i of the
-// region draws its weights from seed+i, so a split region is verified
-// against the same parameters an unsplit run of the same modules would use.
-func RunSplitRegion(profile mcu.Profile, sp plan.SplitPlan, seed int64) (ExecResult, error) {
+// mws holds the region's module weights, in order; their Flash images are
+// loaded back to back, and the input is drawn from rng.
+func ExecSplitRegion(profile mcu.Profile, sp plan.SplitPlan, mws []*ModuleWeights, rng *rand.Rand) (ExecResult, error) {
 	mods := sp.Spec.Modules
 	if err := plan.CanSplit(mods); err != nil {
 		return ExecResult{}, fmt.Errorf("graph: %w", err)
+	}
+	if err := checkModules(mods, mws); err != nil {
+		return ExecResult{}, err
 	}
 	k := len(mods)
 	poolBytes := sp.PoolBytes()
@@ -40,8 +66,8 @@ func RunSplitRegion(profile mcu.Profile, sp plan.SplitPlan, seed int64) (ExecRes
 			regionName(sp), need, poolBytes, sp.WorkspaceBytes, profile.RAMBytes())
 	}
 	flashNeed := 0
-	for _, cfg := range mods {
-		flashNeed += bottleneckFlashBytes(cfg)
+	for _, mw := range mws {
+		flashNeed += mw.Image.Bytes() + flashSlack
 	}
 	dev := acquireDevice(profile, flashNeed)
 	defer releaseDevice(dev)
@@ -52,24 +78,14 @@ func RunSplitRegion(profile mcu.Profile, sp plan.SplitPlan, seed int64) (ExecRes
 	ctx := intrin.NewCtx(dev, pool)
 	wsBase := poolBytes
 
-	// Per-module weights and kernels, seeded exactly like the per-module
-	// executors so verification parameters agree across policies.
 	kns := make([]*kernels.Bottleneck, k)
-	wts := make([]kernels.BottleneckWeights, k)
-	for i, cfg := range mods {
-		rng := rand.New(rand.NewSource(seed + int64(i)))
-		wts[i] = randomBottleneckWeights(rng, cfg)
-		if kns[i], err = kernels.NewBottleneck(dev, cfg, wts[i]); err != nil {
+	for i, mw := range mws {
+		if kns[i], err = kernels.LoadBottleneck(dev, mw.Cfg, mw.BottleneckWeights, mw.Image); err != nil {
 			return ExecResult{}, err
 		}
 	}
 	first := mods[0]
-	inRng := rand.New(rand.NewSource(seed))
-	randomBottleneckWeights(inRng, first) // burn the weight draws, as RunModuleWithPlan does
-	in := make([]int8, first.H*first.W*first.Cin)
-	for i := range in {
-		in[i] = int8(inRng.Intn(255) - 127)
-	}
+	in := drawInt8(rng, first.H*first.W*first.Cin)
 
 	joinPl := kernels.Placement{
 		ID:    dev.NewTensorID(regionName(sp) + ".join"),
@@ -112,38 +128,21 @@ func RunSplitRegion(profile mcu.Profile, sp plan.SplitPlan, seed int64) (ExecRes
 		}
 	}
 
-	got := kernels.Extract(ctx, joinPl)
 	want := in
-	for i, cfg := range mods {
+	for _, mw := range mws {
+		cfg := mw.Cfg
 		want = kernels.GoldenBottleneck(want, cfg.H, cfg.W, cfg.Cin, cfg.Cmid, cfg.Cout,
-			cfg.R, cfg.S, cfg.S1, cfg.S2, cfg.S3, wts[i], false)
+			cfg.R, cfg.S, cfg.S1, cfg.S2, cfg.S3, mw.BottleneckWeights, false)
 	}
-	ok := len(got) == len(want)
-	if ok {
-		for i := range want {
-			if got[i] != want[i] {
-				ok = false
-				break
-			}
-		}
-	}
-	_, nViol := dev.Violations()
-	return ExecResult{
-		Name: regionName(sp),
-		Plan: plan.Plan{
-			SegBytes:       sp.SegBytes,
-			InBytes:        first.H * first.W * first.Cin,
-			OutBytes:       sp.JoinBytes,
-			WorkspaceBytes: sp.WorkspaceBytes,
-			FootprintBytes: sp.FootprintBytes,
-			Note: fmt.Sprintf("patch-split region %s (%d patches, %d halo rows recomputed)",
-				regionName(sp), len(sp.Patches), sp.RecomputedRows),
-		},
-		Stats:      dev.Stats,
-		PeakBytes:  dev.PeakBytes(),
-		Violations: nViol,
-		OutputOK:   ok,
-	}, nil
+	return result(regionName(sp), plan.Plan{
+		SegBytes:       sp.SegBytes,
+		InBytes:        first.H * first.W * first.Cin,
+		OutBytes:       sp.JoinBytes,
+		WorkspaceBytes: sp.WorkspaceBytes,
+		FootprintBytes: sp.FootprintBytes,
+		Note: fmt.Sprintf("patch-split region %s (%d patches, %d halo rows recomputed)",
+			regionName(sp), len(sp.Patches), sp.RecomputedRows),
+	}, dev, slices.Equal(kernels.Extract(ctx, joinPl), want)), nil
 }
 
 // regionName labels a split region, e.g. "B1+B2(split×8)".

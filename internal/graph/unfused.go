@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/vmcu-project/vmcu/internal/intrin"
 	"github.com/vmcu-project/vmcu/internal/kernels"
@@ -11,17 +12,32 @@ import (
 	"github.com/vmcu-project/vmcu/internal/seg"
 )
 
-// RunModuleUnfused executes the layers of a pointwise-stride-1 inverted
-// bottleneck separately, on a pooled device reset to New's state — each
-// with its own §4 single-layer plan — chained through one circular pool
-// with the offsets solved by plan.PlanChain (the Eq. 2 difference system).
-// The intermediate expansion tensor materializes in full, which is exactly
-// what the fused kernel avoids; this is the fusion ablation, and — because
-// it computes each expansion pixel once instead of once per depthwise
-// window row — the latency end of the scheduler's policy tradeoff. A
-// residual module pins its input disjoint above the chain (conv1 keeps it)
-// and finishes with the elementwise add writing E over D's storage.
+// RunModuleUnfused is ExecModuleUnfused with the module's weights and then
+// its input drawn from one stream seeded by seed.
 func RunModuleUnfused(profile mcu.Profile, cfg plan.Bottleneck, seed int64) (ExecResult, error) {
+	rng := rand.New(rand.NewSource(seed))
+	mw, err := drawModule(rng, cfg)
+	if err != nil {
+		return ExecResult{}, err
+	}
+	return ExecModuleUnfused(profile, mw, rng)
+}
+
+// ExecModuleUnfused executes the layers of a pointwise-stride-1 inverted
+// bottleneck with weights mw separately, on a pooled device reset to New's
+// state — each with its own §4 single-layer plan — chained through one
+// circular pool with the offsets solved by plan.PlanChain (the Eq. 2
+// difference system). The three layers read their weights from mw's one
+// Flash image, the same image the fused kernel loads; the input is drawn
+// from rng. The intermediate expansion tensor materializes in full, which
+// is exactly what the fused kernel avoids; this is the fusion ablation,
+// and — because it computes each expansion pixel once instead of once per
+// depthwise window row — the latency end of the scheduler's policy
+// tradeoff. A residual module pins its input disjoint above the chain
+// (conv1 keeps it) and finishes with the elementwise add writing E over
+// D's storage.
+func ExecModuleUnfused(profile mcu.Profile, mw *ModuleWeights, rng *rand.Rand) (ExecResult, error) {
+	cfg := mw.Cfg
 	stages, eligible := plan.UnfusedStages(cfg)
 	if !eligible {
 		return ExecResult{}, fmt.Errorf("graph: module %s does not support unfused execution (strided pointwise or unchainable segments)", cfg.Name)
@@ -35,9 +51,7 @@ func RunModuleUnfused(profile mcu.Profile, cfg plan.Bottleneck, seed int64) (Exe
 		return ExecResult{}, fmt.Errorf("graph: unfused %s: %w", cfg.Name, err)
 	}
 
-	rng := rand.New(rand.NewSource(seed))
-	wt := randomBottleneckWeights(rng, cfg)
-	dev := acquireDevice(profile, bottleneckFlashBytes(cfg))
+	dev := acquireDevice(profile, mw.Image.Bytes()+flashSlack)
 	defer releaseDevice(dev)
 	const segGran = 4 // the kernels address the pool byte-wise
 	capBytes := (chain.FootprintBytes + segGran - 1) / segGran * segGran
@@ -46,35 +60,19 @@ func RunModuleUnfused(profile mcu.Profile, cfg plan.Bottleneck, seed int64) (Exe
 		return ExecResult{}, err
 	}
 	ctx := intrin.NewCtx(dev, pool)
-
+	base, err := mw.Image.Load(dev)
+	if err != nil {
+		return ExecResult{}, err
+	}
+	im, wt := mw.Image, mw.BottleneckWeights
 	conv1 := &kernels.Pointwise{H: cfg.H, W: cfg.W, C: cfg.Cin, K: cfg.Cmid, Req: wt.Req1,
-		KeepInput: residual}
-	if conv1.Weight, err = kernels.PackInt8(dev, wt.W1); err != nil {
-		return ExecResult{}, err
-	}
-	if conv1.Bias, err = kernels.PackInt32(dev, wt.B1); err != nil {
-		return ExecResult{}, err
-	}
+		Weight: im.Part(base, 0), Bias: im.Part(base, 1), KeepInput: residual}
 	dw := &kernels.Depthwise{H: h1, W: w1, C: cfg.Cmid, R: cfg.R, S: cfg.S,
-		Stride: cfg.S2, Pad: pad, Req: wt.ReqD}
-	if dw.Weight, err = kernels.PackInt8(dev, wt.Wd); err != nil {
-		return ExecResult{}, err
-	}
-	if dw.Bias, err = kernels.PackInt32(dev, wt.Bd); err != nil {
-		return ExecResult{}, err
-	}
-	conv2 := &kernels.Pointwise{H: h2, W: w2, C: cfg.Cmid, K: cfg.Cout, Req: wt.Req2}
-	if conv2.Weight, err = kernels.PackInt8(dev, wt.W2); err != nil {
-		return ExecResult{}, err
-	}
-	if conv2.Bias, err = kernels.PackInt32(dev, wt.B2); err != nil {
-		return ExecResult{}, err
-	}
+		Stride: cfg.S2, Pad: pad, Req: wt.ReqD, Weight: im.Part(base, 2), Bias: im.Part(base, 3)}
+	conv2 := &kernels.Pointwise{H: h2, W: w2, C: cfg.Cmid, K: cfg.Cout, Req: wt.Req2,
+		Weight: im.Part(base, 4), Bias: im.Part(base, 5)}
 
-	in := make([]int8, cfg.H*cfg.W*cfg.Cin)
-	for i := range in {
-		in[i] = int8(rng.Intn(255) - 127)
-	}
+	in := drawInt8(rng, cfg.H*cfg.W*cfg.Cin)
 	aPl := kernels.PlaceInput(ctx, cfg.Name+".A", in, chain.Offsets[0])
 	dev.ResetPeak()
 	bPl, err := conv1.Run(ctx, p1, aPl)
@@ -98,31 +96,13 @@ func RunModuleUnfused(profile mcu.Profile, cfg plan.Bottleneck, seed int64) (Exe
 		}
 	}
 
-	got := kernels.Extract(ctx, outPl)
 	want := kernels.GoldenBottleneck(in, cfg.H, cfg.W, cfg.Cin, cfg.Cmid, cfg.Cout,
 		cfg.R, cfg.S, cfg.S1, cfg.S2, cfg.S3, wt, residual)
-	ok := len(got) == len(want)
-	if ok {
-		for i := range want {
-			if got[i] != want[i] {
-				ok = false
-				break
-			}
-		}
-	}
-	_, nViol := dev.Violations()
-	return ExecResult{
-		Name: cfg.Name + "-unfused",
-		Plan: plan.Plan{
-			SegBytes:       segGran,
-			InBytes:        cfg.H * cfg.W * cfg.Cin,
-			OutBytes:       h2 * w2 * cfg.Cout,
-			FootprintBytes: chain.FootprintBytes,
-			Note:           "unfused chain (per-layer plans, Eq. 2 offsets)",
-		},
-		Stats:      dev.Stats,
-		PeakBytes:  dev.PeakBytes(),
-		Violations: nViol,
-		OutputOK:   ok,
-	}, nil
+	return result(cfg.Name+"-unfused", plan.Plan{
+		SegBytes:       segGran,
+		InBytes:        cfg.H * cfg.W * cfg.Cin,
+		OutBytes:       h2 * w2 * cfg.Cout,
+		FootprintBytes: chain.FootprintBytes,
+		Note:           "unfused chain (per-layer plans, Eq. 2 offsets)",
+	}, dev, slices.Equal(kernels.Extract(ctx, outPl), want)), nil
 }

@@ -44,6 +44,17 @@ type Bottleneck struct {
 
 // NewBottleneck packs the module weights into device Flash.
 func NewBottleneck(dev *mcu.Device, cfg plan.Bottleneck, wt BottleneckWeights) (*Bottleneck, error) {
+	im, err := BottleneckImage(cfg, wt)
+	if err != nil {
+		return nil, err
+	}
+	return LoadBottleneck(dev, cfg, wt, im)
+}
+
+// BottleneckImage checks the module's weight sizes and prebuilds its Flash
+// image: W1, B1, Wd, Bd, W2, B2. The unfused executor loads the same
+// image, so every policy of a module shares it.
+func BottleneckImage(cfg plan.Bottleneck, wt BottleneckWeights) (*FlashImage, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -58,28 +69,22 @@ func NewBottleneck(dev *mcu.Device, cfg plan.Bottleneck, wt BottleneckWeights) (
 		return nil, fmt.Errorf("kernels: bottleneck %s bias sizes %d/%d/%d, want %d/%d/%d",
 			cfg.Name, len(wt.B1), len(wt.Bd), len(wt.B2), cfg.Cmid, cfg.Cmid, cfg.Cout)
 	}
-	k := &Bottleneck{Cfg: cfg, Weights: wt}
-	var err error
-	if k.w1, err = PackInt8(dev, wt.W1); err != nil {
+	return NewFlashImage([][]int8{wt.W1, wt.Wd, wt.W2}, [][]int32{wt.B1, wt.Bd, wt.B2}), nil
+}
+
+// LoadBottleneck copies im, a BottleneckImage of (cfg, wt), into device
+// Flash in one copy and returns the fused kernel over it.
+func LoadBottleneck(dev *mcu.Device, cfg plan.Bottleneck, wt BottleneckWeights, im *FlashImage) (*Bottleneck, error) {
+	base, err := im.Load(dev)
+	if err != nil {
 		return nil, err
 	}
-	if k.b1, err = PackInt32(dev, wt.B1); err != nil {
-		return nil, err
-	}
-	if k.wd, err = PackInt8(dev, wt.Wd); err != nil {
-		return nil, err
-	}
-	if k.bd, err = PackInt32(dev, wt.Bd); err != nil {
-		return nil, err
-	}
-	if k.w2, err = PackInt8(dev, wt.W2); err != nil {
-		return nil, err
-	}
-	if k.b2, err = PackInt32(dev, wt.B2); err != nil {
-		return nil, err
-	}
-	k.loaded = true
-	return k, nil
+	return &Bottleneck{Cfg: cfg, Weights: wt,
+		w1: im.Part(base, 0), b1: im.Part(base, 1),
+		wd: im.Part(base, 2), bd: im.Part(base, 3),
+		w2: im.Part(base, 4), b2: im.Part(base, 5),
+		loaded: true,
+	}, nil
 }
 
 // Plan returns the §5.2 fused memory plan.

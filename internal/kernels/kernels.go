@@ -57,6 +57,54 @@ func FreeAll(c *intrin.Ctx, pl Placement) {
 	c.Pool.FreeBytes(pl.Off, pl.Bytes, pl.ID)
 }
 
+// FlashImage is a unit's constant tensors prebuilt in the byte layout
+// PackInt8 and PackInt32 store them in, back to back in the order given.
+// It is immutable once built, so one image can be loaded into any number
+// of devices, concurrently.
+type FlashImage struct {
+	data  []byte
+	parts []mcu.FlashRef // each tensor's location relative to the image start
+}
+
+// NewFlashImage lays out each layer's int8 weights followed by its int32
+// bias: ws[0], bs[0], ws[1], bs[1], ... ws and bs must be the same length.
+func NewFlashImage(ws [][]int8, bs [][]int32) *FlashImage {
+	n := 0
+	for i := range ws {
+		n += len(ws[i]) + 4*len(bs[i])
+	}
+	im := &FlashImage{data: make([]byte, n), parts: make([]mcu.FlashRef, 0, 2*len(ws))}
+	off := 0
+	for i, w := range ws {
+		im.parts = append(im.parts, mcu.FlashRef{Off: off, Len: len(w)})
+		dst := im.data[off : off+len(w)]
+		for j, v := range w {
+			dst[j] = byte(v)
+		}
+		off += len(w)
+		im.parts = append(im.parts, mcu.FlashRef{Off: off, Len: 4 * len(bs[i])})
+		for _, v := range bs[i] {
+			binary.LittleEndian.PutUint32(im.data[off:], uint32(v))
+			off += 4
+		}
+	}
+	return im
+}
+
+// Bytes returns the image size.
+func (im *FlashImage) Bytes() int { return len(im.data) }
+
+// Load copies the image into dev's Flash with one FlashAlloc and returns
+// where it landed. It allocates nothing on the host.
+func (im *FlashImage) Load(dev *mcu.Device) (mcu.FlashRef, error) { return dev.FlashAlloc(im.data) }
+
+// Part locates tensor i of an image that Load placed at base.
+func (im *FlashImage) Part(base mcu.FlashRef, i int) mcu.FlashRef {
+	r := im.parts[i]
+	r.Off += base.Off
+	return r
+}
+
 // PackInt8 stores int8 weights into Flash.
 func PackInt8(dev *mcu.Device, data []int8) (mcu.FlashRef, error) {
 	buf := make([]byte, len(data))

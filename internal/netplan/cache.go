@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/vmcu-project/vmcu/internal/graph"
 	"github.com/vmcu-project/vmcu/internal/obs"
@@ -27,6 +28,11 @@ import (
 // is unchanged; long-running callers (the serving subsystem) use a
 // bounded cache so an open-ended model mix cannot grow memory without
 // limit.
+//
+// The cache also holds each network's weights (Weights), drawn once on
+// the network's first verified run. They are entries like the plans:
+// built under the same single flight, counted against the same cap and
+// dropped by the same LRU and Reset.
 type Cache struct {
 	mu        sync.Mutex
 	cap       int                    // max retained completed entries; 0 means unbounded; immutable
@@ -40,6 +46,7 @@ type Cache struct {
 	// attached obs.Tracer's registry (all nil until SetTracer; nil-safe to
 	// Inc); guarded by Cache.mu.
 	trHits, trMisses, trCoalesced, trEvictions *obs.Counter
+	weightBuilds                               atomic.Uint64 // Weights draws run; read by tests
 }
 
 // planFn is the solve the cache runs on a miss. A package variable so
@@ -48,12 +55,14 @@ type Cache struct {
 // code never reassigns it.
 var planFn = Plan
 
-// cacheEntry is one in-flight or completed solve; ready closes when np/err
-// are set. elem is non-nil exactly while the completed entry is retained
-// in the LRU list.
+// cacheEntry is one in-flight or completed solve or weight draw; ready
+// closes when np (a plan entry) or wt (a weights entry) and err are set.
+// elem is non-nil exactly while the completed entry is retained in the LRU
+// list.
 type cacheEntry struct {
 	ready chan struct{}
 	np    *NetworkPlan
+	wt    *graph.Weights
 	err   error
 	elem  *list.Element
 }
@@ -114,9 +123,7 @@ func Key(net graph.Network, opts Options) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|budget=%d|split=%+v|handoff=%v|objective=%v|costprofile=%+v",
 		net.Name, opts.BudgetBytes, opts.Split, opts.Handoff, opts.Objective, opts.CostProfile)
-	for _, m := range net.Modules {
-		fmt.Fprintf(&b, "|%+v", m)
-	}
+	writeModules(&b, net)
 	if len(opts.Force) > 0 {
 		names := make([]string, 0, len(opts.Force))
 		for n := range opts.Force {
@@ -142,7 +149,48 @@ func Key(net graph.Network, opts Options) string {
 // entry count as hits, on both the success and the error path, so
 // Hits+Misses always equals the number of completed Plan calls.
 func (c *Cache) Plan(net graph.Network, opts Options) (*NetworkPlan, bool, error) {
-	key := Key(net, opts)
+	e, hit := c.get(Key(net, opts), true, func(e *cacheEntry) { e.np, e.err = planFn(net, opts) })
+	return e.np, hit, e.err
+}
+
+// modelSeed is the seed every network's weights are drawn from: a network
+// is one model, flashed once, whichever request or device runs it.
+const modelSeed = 1
+
+// Weights returns the network's weights (graph.DrawWeights from the model
+// seed), drawing them on the network's first request. They are keyed by
+// topology alone, so every plan variant and request of the network shares
+// them, and share the plans' single flight, LRU bound and Reset. Weight
+// lookups are not plan lookups: they leave Hits, Misses and
+// CoalescedMisses alone.
+func (c *Cache) Weights(net graph.Network) (*graph.Weights, error) {
+	e, _ := c.get(weightsKey(net), false, func(e *cacheEntry) {
+		c.weightBuilds.Add(1)
+		e.wt, e.err = graph.DrawWeights(net, modelSeed)
+	})
+	return e.wt, e.err
+}
+
+// weightsKey is the cache key of a network's weights: its name and module
+// shapes, the part of Key that the weights depend on.
+func weightsKey(net graph.Network) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "weights|%s", net.Name)
+	writeModules(&b, net)
+	return b.String()
+}
+
+func writeModules(b *strings.Builder, net graph.Network) {
+	for _, m := range net.Modules {
+		fmt.Fprintf(b, "|%+v", m)
+	}
+}
+
+// get returns key's entry once it is ready, running build for it on the
+// first request (per-key single flight). The second return reports
+// whether an existing entry served the request. counted accounts the
+// request in the plan-lookup counters. A failed build is not retained.
+func (c *Cache) get(key string, counted bool, build func(*cacheEntry)) (*cacheEntry, bool) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		// A lookup that lands on a NOT-yet-ready entry is a coalesced
@@ -152,51 +200,53 @@ func (c *Cache) Plan(net graph.Network, opts Options) (*NetworkPlan, bool, error
 		select {
 		case <-e.ready:
 		default:
-			c.coalesced++
-			c.trCoalesced.Inc()
+			if counted {
+				c.coalesced++
+				c.trCoalesced.Inc()
+			}
 		}
 		c.mu.Unlock()
 		<-e.ready
 		c.mu.Lock()
-		c.hits++
-		c.trHits.Inc()
+		if counted {
+			c.hits++
+			c.trHits.Inc()
+		}
 		// Refresh recency, unless the entry was evicted or Reset away while
-		// we waited (its plan is still valid for this caller either way).
+		// we waited (its value is still valid for this caller either way).
 		if e.elem != nil && c.entries[key] == e {
 			c.lru.MoveToFront(e.elem)
 		}
 		c.mu.Unlock()
-		if e.err != nil {
-			return nil, true, e.err
-		}
-		return e.np, true, nil
+		return e, true
 	}
 	e := &cacheEntry{ready: make(chan struct{})}
 	c.entries[key] = e
 	c.mu.Unlock()
 
-	e.np, e.err = planFn(net, opts)
+	build(e)
 	close(e.ready)
 	c.mu.Lock()
-	c.misses++
-	c.trMisses.Inc()
+	defer c.mu.Unlock()
+	if counted {
+		c.misses++
+		c.trMisses.Inc()
+	}
 	if e.err != nil {
 		// Drop the failed entry so the next request re-attempts (unless a
 		// Reset already replaced the map).
 		if c.entries[key] == e {
 			delete(c.entries, key)
 		}
-		c.mu.Unlock()
-		return nil, false, e.err
+		return e, false
 	}
-	// Retain the completed plan; a Reset while solving means the old map no
-	// longer holds this entry, in which case it is not retained at all.
+	// Retain the completed entry; a Reset while building means the old map
+	// no longer holds this entry, in which case it is not retained at all.
 	if c.entries[key] == e {
 		e.elem = c.lru.PushFront(key)
 		c.evict()
 	}
-	c.mu.Unlock()
-	return e.np, false, nil
+	return e, false
 }
 
 // evict drops least-recently-used completed entries until the retained
@@ -232,11 +282,12 @@ type CacheStats struct {
 	// Hit once the solve completes, so at quiescence they are a subset of
 	// Hits.
 	CoalescedMisses uint64
-	// Evictions counts completed plans dropped by the LRU bound (always 0
-	// on an unbounded cache).
+	// Evictions counts completed entries, plans or weights, dropped by the
+	// LRU bound (always 0 on an unbounded cache).
 	Evictions uint64
-	// Len is the current number of entries, retained plans plus in-flight
-	// solves. On a bounded quiescent cache Len never exceeds the cap.
+	// Len is the current number of entries: retained plans and network
+	// weights plus in-flight builds. On a bounded quiescent cache Len never
+	// exceeds the cap.
 	Len int
 }
 

@@ -2,13 +2,13 @@ package netplan
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 
 	"github.com/vmcu-project/vmcu/internal/graph"
 	"github.com/vmcu-project/vmcu/internal/mcu"
 	"github.com/vmcu-project/vmcu/internal/obs"
-	"github.com/vmcu-project/vmcu/internal/plan"
 )
 
 // RunResult reports a whole-network execution: the memoized plan plus one
@@ -34,10 +34,13 @@ type RunResult struct {
 }
 
 // Run plans the network through the cache and executes every unit's
-// verification under its scheduled policy. Unit verifications are
-// independent (each runs on a pooled device reset to New's state, with
-// deterministic per-module seeds, exactly like graph.Network.Run), so they
-// run concurrently on a bounded worker pool; results keep network order.
+// verification under its scheduled policy. Every unit runs on the
+// network's weights (Cache.Weights, drawn once per network from the model
+// seed); seed picks only the inputs: the split region's from seed, module
+// i's from seed+i and seam si's from seed+len(net.Modules)+si. Unit
+// verifications are independent (each runs on a pooled device reset to
+// New's state and loaded with its unit's Flash image), so they run
+// concurrently on a bounded worker pool; results keep network order.
 func Run(profile mcu.Profile, net graph.Network, seed int64, opts Options, cache *Cache) (*RunResult, error) {
 	return RunTraced(profile, net, seed, opts, cache, nil, 0, 0, "")
 }
@@ -75,6 +78,10 @@ func RunTracedTo(profile mcu.Profile, net graph.Network, seed int64, opts Option
 	if err != nil {
 		return nil, err
 	}
+	wt, err := cache.Weights(net)
+	if err != nil {
+		return nil, err
+	}
 	// Unit list: module index, -1 for the patch-split region, or
 	// -2-si for streamed seam si. Module/region results land in Modules,
 	// seam results in Seams; both keep network order.
@@ -106,13 +113,14 @@ func RunTracedTo(profile mcu.Profile, net graph.Network, seed int64, opts Option
 		workers = len(units)
 	}
 	// Seam seeds start past every module seed so no unit shares another's
-	// deterministic parameter stream.
+	// input stream.
 	seamSeed := func(si int) int64 { return seed + int64(len(net.Modules)) + int64(si) }
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			rng := newInputRand() // reseeded per unit
 			for u := range jobs {
 				if startNs != nil {
 					startNs[u] = tr.Now()
@@ -120,11 +128,14 @@ func RunTracedTo(profile mcu.Profile, net graph.Network, seed int64, opts Option
 				switch mi := units[u]; {
 				case mi <= -2:
 					s := np.Seams[-2-mi]
-					results[u], errs[u] = graph.RunSeam(profile, s.Spec, s.Plan, seamSeed(-2-mi))
+					rng.Seed(seamSeed(-2 - mi))
+					results[u], errs[u] = runSeam(profile, s, wt, rng)
 				case mi == -1:
-					results[u], errs[u] = graph.RunSplitRegion(profile, np.Split.Plan, seed)
+					rng.Seed(seed)
+					results[u], errs[u] = graph.ExecSplitRegion(profile, np.Split.Plan, wt.Modules[:np.Split.Depth], rng)
 				default:
-					results[u], errs[u] = runModule(profile, net.Modules[mi], np.Modules[mi], seed+int64(mi))
+					rng.Seed(seed + int64(mi))
+					results[u], errs[u] = runModule(profile, wt.Modules[mi], np.Modules[mi], rng)
 				}
 				if endNs != nil {
 					endNs[u] = tr.Now()
@@ -205,13 +216,27 @@ func emitUnitSpans(tr *obs.Tracer, buf *obs.SpanBuffer, profile mcu.Profile, net
 	}
 }
 
-func runModule(profile mcu.Profile, cfg plan.Bottleneck, ms ModuleSchedule, seed int64) (graph.ExecResult, error) {
+// newInputRand returns a worker's input stream, reseeded per unit. A
+// package variable so a test can observe the inputs a run draws;
+// production code never reassigns it.
+var newInputRand = func() *rand.Rand { return rand.New(rand.NewSource(1)) }
+
+func runModule(profile mcu.Profile, mw *graph.ModuleWeights, ms ModuleSchedule, rng *rand.Rand) (graph.ExecResult, error) {
 	switch ms.Policy {
 	case PolicyUnfused:
-		return graph.RunModuleUnfused(profile, cfg, seed)
+		return graph.ExecModuleUnfused(profile, mw, rng)
 	default:
 		// Fused and baseline both execute the fused kernel; baseline just
 		// runs it under the wider disjoint placement.
-		return graph.RunModuleWithPlan(profile, cfg, ms.Plans[0], seed)
+		return graph.ExecModule(profile, mw, ms.Plans[0], rng)
 	}
+}
+
+// runSeam executes seam s on the weights drawn for its boundary.
+func runSeam(profile mcu.Profile, s SeamSchedule, wt *graph.Weights, rng *rand.Rand) (graph.ExecResult, error) {
+	sw := wt.Seams[s.Producer]
+	if sw == nil || sw.Spec != s.Spec {
+		return graph.ExecResult{}, fmt.Errorf("netplan: no weights drawn for seam %s", s.Name)
+	}
+	return graph.ExecSeam(profile, sw, s.Plan, rng)
 }

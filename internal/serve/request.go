@@ -112,8 +112,9 @@ type SubmitOptions struct {
 	// (Result.MetLatencyBudget, Metrics.LatencyBudgetMissed). 0 applies
 	// the model's LatencyBudget (if any).
 	LatencyBudget time.Duration
-	// Seed picks the deterministic weight stream the verification run
-	// executes with.
+	// Seed picks the deterministic input the verification run executes
+	// on. The weights belong to the model: every request for it runs the
+	// same ones, drawn once from a fixed model seed.
 	Seed int64
 }
 

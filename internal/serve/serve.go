@@ -40,8 +40,10 @@
 //     guaranteed to resolve — including submit-time rejections, whose
 //     tickets-never-issued requests still resolve to a terminal state.
 //     Execution is netplan.Run — the bit-exact whole-network verification
-//     executor — through the server's bounded plan cache (ExecDryRun
-//     skips the kernels for pure admission-control load tests).
+//     executor — through the server's bounded plan cache, which also holds
+//     each model's weights, drawn on its first verified request; a
+//     request's seed picks only its input (ExecDryRun skips the kernels
+//     for pure admission-control load tests, and builds no weights).
 //   - Metrics. Every counter and gauge lives in always-on obs metric
 //     families (instruments.go), exported on /metrics when a tracer is
 //     installed. The Metrics snapshot is derived from those families

@@ -263,7 +263,10 @@ func PlanNetworkWithOptions(net Network, opts ScheduleOptions) (*NetworkPlan, er
 
 // RunNetwork plans the network (through the plan cache) and executes every
 // module's bit-exact verification under its scheduled policy, running
-// independent module verifications concurrently on a worker pool.
+// independent module verifications concurrently on a worker pool. The
+// weights belong to the network: they are drawn once, from a fixed model
+// seed, on its first run and kept in the plan cache, so seed picks only
+// the inputs.
 func RunNetwork(profile Profile, net Network, seed int64) (*NetworkRunResult, error) {
 	return netplan.Run(profile, net, seed,
 		netplan.Options{BudgetBytes: profile.RAMBytes()}, netplan.Default)
@@ -344,7 +347,8 @@ type ServeDevice = serve.DeviceConfig
 type ServeModelConfig = serve.ModelConfig
 
 // SubmitOptions parameterize one inference request: priority, absolute
-// admission deadline, and the deterministic verification seed.
+// admission deadline, and the seed of its deterministic verification input
+// (the weights belong to the registered model).
 type SubmitOptions = serve.SubmitOptions
 
 // Ticket is the asynchronous handle on a submitted request: its state,
@@ -521,7 +525,8 @@ func NewOpsHandler(s *Server, tr *Tracer) *OpsHandler {
 	return ops.NewHandler(s, tr)
 }
 
-// RunNetworkTraced is RunNetwork with per-unit observability: every
+// RunNetworkTraced is RunNetwork with per-unit observability (seed again
+// picks only the inputs; the weights belong to the network): every
 // executed unit is recorded on tr as a KindUnit span carrying the unit's
 // device counters, with the simulated cycle axis laid out cumulatively in
 // network order. parentID and traceID link the unit spans under an
