@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -17,13 +19,13 @@ import (
 // so the per-observation cost is identical to an unlabeled instrument —
 // one atomic add or one short mutex hold, no map lookup.
 //
-// The series map itself is copy-on-write: With's hit path is one atomic
-// pointer load plus a lock-free map read, and snapshots read the same
-// immutable map. Only series CREATION takes the family mutex (it copies
-// the map, inserts, and republishes), which is paid once per labelset
-// for the family's lifetime — so even a caller that ignores the
-// resolve-once advice never contends a reader-writer lock at
-// per-request rates.
+// The three kinds share one series map, vec. It is copy-on-write:
+// With's hit path is one atomic pointer load plus a lock-free map read,
+// and snapshots read the same immutable map. Only series CREATION takes
+// the family mutex (it copies the map, inserts, and republishes), which
+// is paid once per labelset for the family's lifetime — so even a
+// caller that ignores the resolve-once advice never contends a
+// reader-writer lock at per-request rates.
 //
 // Cardinality is bounded by construction twice over: the label KEYS are
 // fixed per family, and the number of distinct label VALUES per family
@@ -56,45 +58,121 @@ func normalizeValues(values []string, n int) []string {
 	return out
 }
 
-// CounterVec is a labeled counter family (lint:nilsafe: every exported
-// method tolerates a nil receiver).
-type CounterVec struct {
-	name, help string   // immutable after construction
-	keys       []string // immutable after construction
-	overflow   atomic.Uint64
+// instrument is a family kind's per-series handle (*Counter, *Gauge,
+// *Histogram): it fills its kind's fields of a snapshot point, with
+// trailing windows merged as of nanos.
+type instrument interface {
+	point(p *SeriesPoint, nanos int64)
+}
+
+// vec is the labelset→series map behind every family kind. The
+// exported Vec types wrap it with nil-safety and their kind's extras.
+type vec[S instrument] struct {
+	name, help, kind string   // immutable after construction
+	keys             []string // immutable after construction
+	// newSeries builds one series' instrument whole, before anything can
+	// share it (windowed if the family is); immutable.
+	newSeries func() S
+	overflow  atomic.Uint64
 
 	// series holds the live labelset→series map. The pointed-to map is
 	// immutable: creation copies it, inserts, and stores the copy, so
 	// readers never lock. mu serializes creators only.
-	series atomic.Pointer[map[string]*counterSeries]
+	series atomic.Pointer[map[string]*labeled[S]]
 	mu     sync.Mutex
 }
 
-type counterSeries struct {
+// labeled is one series: its label values and its instrument.
+type labeled[S instrument] struct {
 	values []string
-	c      Counter
+	inst   S
 }
 
 // load returns the current immutable series map (nil before the first
 // series exists; a nil map reads fine).
-func (v *CounterVec) load() map[string]*counterSeries {
+func (v *vec[S]) load() map[string]*labeled[S] {
 	if m := v.series.Load(); m != nil {
 		return *m
 	}
 	return nil
 }
 
-// insertLocked republishes the series map with one more entry. Runs with
-// CounterVec.mu held.
-func (v *CounterVec) insertLocked(k string, s *counterSeries) {
-	cur := v.load()
-	next := make(map[string]*counterSeries, len(cur)+1)
-	for kk, ss := range cur {
-		next[kk] = ss
+// with returns the series for the given label values (one per key, in
+// key order), creating it on first use, or the catch-all series once
+// the family holds MaxSeriesPerVec labelsets. The hit path is lock-free;
+// only series creation locks.
+func (v *vec[S]) with(values []string) S {
+	values = normalizeValues(values, len(v.keys))
+	k := labelKey(values)
+	if s := v.load()[k]; s != nil {
+		return s.inst
 	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	cur := v.load()
+	if s := cur[k]; s != nil {
+		return s.inst
+	}
+	if len(cur) >= MaxSeriesPerVec {
+		v.overflow.Add(1)
+		values = make([]string, len(v.keys))
+		for i := range values {
+			values[i] = overflowLabel
+		}
+		k = labelKey(values)
+		if s := cur[k]; s != nil {
+			return s.inst
+		}
+	}
+	s := &labeled[S]{values: append([]string(nil), values...), inst: v.newSeries()}
+	next := make(map[string]*labeled[S], len(cur)+1)
+	maps.Copy(next, cur)
 	next[k] = s
 	v.series.Store(&next)
+	return s.inst
 }
+
+// familyKind names the family's kind for a registration clash.
+func (v *vec[S]) familyKind() string { return v.kind }
+
+// snapshot captures the family, with trailing windows merged as of
+// nanos. Reads the immutable series map, no family lock.
+func (v *vec[S]) snapshot(nanos int64) FamilyData {
+	fd := FamilyData{Name: v.name, Help: v.help, Kind: v.kind,
+		Keys: append([]string(nil), v.keys...), Overflow: v.overflow.Load()}
+	for _, s := range v.load() {
+		p := SeriesPoint{Values: append([]string(nil), s.values...)}
+		s.inst.point(&p, nanos)
+		fd.Series = append(fd.Series, p)
+	}
+	sortSeries(fd.Series)
+	return fd
+}
+
+func (c *Counter) point(p *SeriesPoint, _ int64) { p.Counter = c.Value() }
+
+func (g *Gauge) point(p *SeriesPoint, nanos int64) {
+	p.Gauge = g.Value()
+	if g.win != nil {
+		g.mu.Lock()
+		p.GaugeWindow = g.win.merge(nanos)
+		g.mu.Unlock()
+	}
+}
+
+func (h *Histogram) point(p *SeriesPoint, nanos int64) {
+	hd := h.snapshot()
+	p.Hist = &hd
+	if h.win != nil {
+		h.mu.Lock()
+		p.Window = h.win.merge(nanos, h.bounds)
+		h.mu.Unlock()
+	}
+}
+
+// CounterVec is a labeled counter family (lint:nilsafe: every exported
+// method tolerates a nil receiver).
+type CounterVec struct{ vec[*Counter] }
 
 // With returns the counter for the given label values (one per key, in
 // key order), creating the series on first use. Nil-safe: a nil family
@@ -104,290 +182,7 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if v == nil {
 		return nil
 	}
-	values = normalizeValues(values, len(v.keys))
-	k := labelKey(values)
-	if s := v.load()[k]; s != nil {
-		return &s.c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if s := v.load()[k]; s != nil {
-		return &s.c
-	}
-	if len(v.load()) >= MaxSeriesPerVec {
-		v.overflow.Add(1)
-		return v.otherLocked()
-	}
-	s := &counterSeries{values: append([]string(nil), values...)}
-	v.insertLocked(k, s)
-	return &s.c
-}
-
-// otherLocked returns (creating if needed) the catch-all series' counter.
-// Runs with CounterVec.mu held.
-func (v *CounterVec) otherLocked() *Counter {
-	vals := make([]string, len(v.keys))
-	for i := range vals {
-		vals[i] = overflowLabel
-	}
-	k := labelKey(vals)
-	s := v.load()[k]
-	if s == nil {
-		s = &counterSeries{values: vals}
-		v.insertLocked(k, s)
-	}
-	return &s.c
-}
-
-// GaugeVec is a labeled gauge family, optionally windowed (lint:nilsafe:
-// every exported method tolerates a nil receiver).
-type GaugeVec struct {
-	name, help string
-	keys       []string
-	win        WindowOptions // zero value = unwindowed; immutable
-	overflow   atomic.Uint64
-
-	// series is copy-on-write like CounterVec.series; mu serializes
-	// creators only.
-	series atomic.Pointer[map[string]*gaugeSeries]
-	mu     sync.Mutex
-}
-
-type gaugeSeries struct {
-	values []string
-	g      *Gauge
-}
-
-// load returns the current immutable series map (nil is fine to read).
-func (v *GaugeVec) load() map[string]*gaugeSeries {
-	if m := v.series.Load(); m != nil {
-		return *m
-	}
-	return nil
-}
-
-// insertLocked republishes the series map with one more entry. Runs with
-// GaugeVec.mu held.
-func (v *GaugeVec) insertLocked(k string, s *gaugeSeries) {
-	cur := v.load()
-	next := make(map[string]*gaugeSeries, len(cur)+1)
-	for kk, ss := range cur {
-		next[kk] = ss
-	}
-	next[k] = s
-	v.series.Store(&next)
-}
-
-// With returns the gauge for the given label values, creating the
-// series on first use (windowed if the family is). Nil-safe; the hit
-// path is lock-free.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	values = normalizeValues(values, len(v.keys))
-	k := labelKey(values)
-	if s := v.load()[k]; s != nil {
-		return s.g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if s := v.load()[k]; s != nil {
-		return s.g
-	}
-	if len(v.load()) >= MaxSeriesPerVec {
-		v.overflow.Add(1)
-		return v.otherLocked()
-	}
-	s := v.newSeriesLocked(values)
-	v.insertLocked(k, s)
-	return s.g
-}
-
-// newSeriesLocked builds one gauge series; runs with GaugeVec.mu held.
-// The fresh Gauge is assembled whole before anything can share it.
-func (v *GaugeVec) newSeriesLocked(values []string) *gaugeSeries {
-	var win *gaugeWindows
-	if v.win.enabled() {
-		win = newGaugeWindows(v.win)
-	}
-	return &gaugeSeries{
-		values: append([]string(nil), values...),
-		g:      &Gauge{win: win},
-	}
-}
-
-// otherLocked returns the catch-all series' gauge; runs with GaugeVec.mu
-// held.
-func (v *GaugeVec) otherLocked() *Gauge {
-	vals := make([]string, len(v.keys))
-	for i := range vals {
-		vals[i] = overflowLabel
-	}
-	k := labelKey(vals)
-	s := v.load()[k]
-	if s == nil {
-		s = v.newSeriesLocked(vals)
-		v.insertLocked(k, s)
-	}
-	return s.g
-}
-
-// HistogramVec is a labeled histogram family, optionally windowed
-// (lint:nilsafe: every exported method tolerates a nil receiver).
-type HistogramVec struct {
-	name, help string
-	keys       []string
-	bounds     []float64     // ascending; immutable
-	win        WindowOptions // zero value = unwindowed; immutable
-	overflow   atomic.Uint64
-
-	// series is copy-on-write like CounterVec.series; mu serializes
-	// creators only.
-	series atomic.Pointer[map[string]*histogramSeries]
-	mu     sync.Mutex
-}
-
-type histogramSeries struct {
-	values []string
-	h      *Histogram
-}
-
-// load returns the current immutable series map (nil is fine to read).
-func (v *HistogramVec) load() map[string]*histogramSeries {
-	if m := v.series.Load(); m != nil {
-		return *m
-	}
-	return nil
-}
-
-// insertLocked republishes the series map with one more entry. Runs with
-// HistogramVec.mu held.
-func (v *HistogramVec) insertLocked(k string, s *histogramSeries) {
-	cur := v.load()
-	next := make(map[string]*histogramSeries, len(cur)+1)
-	for kk, ss := range cur {
-		next[kk] = ss
-	}
-	next[k] = s
-	v.series.Store(&next)
-}
-
-// With returns the histogram for the given label values, creating the
-// series on first use (windowed if the family is). Nil-safe; the hit
-// path is lock-free.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	values = normalizeValues(values, len(v.keys))
-	k := labelKey(values)
-	if s := v.load()[k]; s != nil {
-		return s.h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if s := v.load()[k]; s != nil {
-		return s.h
-	}
-	if len(v.load()) >= MaxSeriesPerVec {
-		v.overflow.Add(1)
-		return v.otherLocked()
-	}
-	s := v.newSeriesLocked(values)
-	v.insertLocked(k, s)
-	return s.h
-}
-
-// newSeriesLocked builds one histogram series; runs with HistogramVec.mu
-// held. The fresh Histogram is assembled whole before anything shares it.
-func (v *HistogramVec) newSeriesLocked(values []string) *histogramSeries {
-	var win *histWindows
-	if v.win.enabled() {
-		win = newHistWindows(v.win, len(v.bounds)+1)
-	}
-	h := &Histogram{bounds: v.bounds, counts: make([]uint64, len(v.bounds)+1), win: win}
-	return &histogramSeries{values: append([]string(nil), values...), h: h}
-}
-
-// otherLocked returns the catch-all series' histogram; runs with
-// HistogramVec.mu held.
-func (v *HistogramVec) otherLocked() *Histogram {
-	vals := make([]string, len(v.keys))
-	for i := range vals {
-		vals[i] = overflowLabel
-	}
-	k := labelKey(vals)
-	s := v.load()[k]
-	if s == nil {
-		s = v.newSeriesLocked(vals)
-		v.insertLocked(k, s)
-	}
-	return s.h
-}
-
-// CounterVec returns the named counter family, creating it with the
-// given help text and label keys on first use (later calls ignore help
-// and keys; nil on a nil registry). A family with no keys has exactly
-// one series, resolved by With().
-func (r *Registry) CounterVec(name, help string, keys ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.counterVecs[name]
-	if !ok {
-		v = &CounterVec{
-			name: name, help: help,
-			keys: append([]string(nil), keys...),
-		}
-		r.counterVecs[name] = v
-	}
-	return v
-}
-
-// GaugeVec returns the named gauge family, creating it with the given
-// help text, window options (zero = unwindowed), and label keys on
-// first use (nil on a nil registry).
-func (r *Registry) GaugeVec(name, help string, win WindowOptions, keys ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gaugeVecs[name]
-	if !ok {
-		v = &GaugeVec{
-			name: name, help: help, win: win,
-			keys: append([]string(nil), keys...),
-		}
-		r.gaugeVecs[name] = v
-	}
-	return v
-}
-
-// HistogramVec returns the named histogram family, creating it with the
-// given help text, ascending bucket bounds, window options (zero =
-// unwindowed), and label keys on first use (nil on a nil registry).
-func (r *Registry) HistogramVec(name, help string, bounds []float64, win WindowOptions, keys ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.histogramVecs[name]
-	if !ok {
-		b := append([]float64(nil), bounds...)
-		sort.Float64s(b)
-		v = &HistogramVec{
-			name: name, help: help, win: win,
-			bounds: b,
-			keys:   append([]string(nil), keys...),
-		}
-		r.histogramVecs[name] = v
-	}
-	return v
+	return v.with(values)
 }
 
 // Each calls f with every series' label values (aligned with the
@@ -398,8 +193,40 @@ func (v *CounterVec) Each(f func(values []string, n uint64)) {
 		return
 	}
 	for _, s := range v.load() {
-		f(s.values, s.c.Value())
+		f(s.values, s.inst.Value())
 	}
+}
+
+// GaugeVec is a labeled gauge family, optionally windowed (lint:nilsafe:
+// every exported method tolerates a nil receiver).
+type GaugeVec struct{ vec[*Gauge] }
+
+// With returns the gauge for the given label values, creating the
+// series on first use (windowed if the family is). Nil-safe; the hit
+// path is lock-free.
+func (v *GaugeVec) With(values ...string) *Gauge {
+	if v == nil {
+		return nil
+	}
+	return v.with(values)
+}
+
+// HistogramVec is a labeled histogram family, optionally windowed
+// (lint:nilsafe: every exported method tolerates a nil receiver).
+type HistogramVec struct {
+	vec[*Histogram]
+	bounds []float64     // ascending; immutable
+	win    WindowOptions // zero value = unwindowed; immutable
+}
+
+// With returns the histogram for the given label values, creating the
+// series on first use (windowed if the family is). Nil-safe; the hit
+// path is lock-free.
+func (v *HistogramVec) With(values ...string) *Histogram {
+	if v == nil {
+		return nil
+	}
+	return v.with(values)
 }
 
 // Window merges every series' trailing window into one view as of now —
@@ -413,12 +240,95 @@ func (v *HistogramVec) Window() *WindowData {
 	out := newWindowData(v.win.withDefaults(), len(v.bounds))
 	var samples []float64
 	for _, s := range v.load() {
-		s.h.mu.Lock()
-		samples = s.h.win.mergeInto(out, samples, nanos)
-		s.h.mu.Unlock()
+		s.inst.mu.Lock()
+		samples = s.inst.win.mergeInto(out, samples, nanos)
+		s.inst.mu.Unlock()
 	}
 	out.finish(v.bounds, samples)
 	return out
+}
+
+// family is one registered family of any kind.
+type family interface {
+	familyKind() string
+	snapshot(nanos int64) FamilyData
+}
+
+// register returns the family named name, building it on first use.
+// One name is one family: asking for an existing name as another kind
+// panics, like a duplicate Prometheus registration, since the
+// exposition would carry two TYPE lines for one name.
+func register[F family](r *Registry, name, kind string, build func() F) F {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f, ok := r.families[name]; ok {
+		v, ok := f.(F)
+		if !ok {
+			panic(fmt.Sprintf("obs: metric family %q is already registered as a %s, not a %s",
+				name, f.familyKind(), kind))
+		}
+		return v
+	}
+	v := build()
+	r.families[name] = v
+	return v
+}
+
+// CounterVec returns the named counter family, creating it with the
+// given help text and label keys on first use (later calls ignore help
+// and keys; nil on a nil registry). A family with no keys has exactly
+// one series, resolved by With(). Panics if name is another kind's.
+func (r *Registry) CounterVec(name, help string, keys ...string) *CounterVec {
+	if r == nil {
+		return nil
+	}
+	return register(r, name, "counter", func() *CounterVec {
+		return &CounterVec{vec[*Counter]{name: name, help: help, kind: "counter",
+			keys: append([]string(nil), keys...), newSeries: func() *Counter { return new(Counter) }}}
+	})
+}
+
+// GaugeVec returns the named gauge family, creating it with the given
+// help text, window options (zero = unwindowed), and label keys on
+// first use (nil on a nil registry). Panics if name is another kind's.
+func (r *Registry) GaugeVec(name, help string, win WindowOptions, keys ...string) *GaugeVec {
+	if r == nil {
+		return nil
+	}
+	return register(r, name, "gauge", func() *GaugeVec {
+		newSeries := func() *Gauge {
+			var w *gaugeWindows
+			if win.enabled() {
+				w = newGaugeWindows(win)
+			}
+			return &Gauge{win: w}
+		}
+		return &GaugeVec{vec[*Gauge]{name: name, help: help, kind: "gauge",
+			keys: append([]string(nil), keys...), newSeries: newSeries}}
+	})
+}
+
+// HistogramVec returns the named histogram family, creating it with the
+// given help text, ascending bucket bounds, window options (zero =
+// unwindowed), and label keys on first use (nil on a nil registry).
+// Panics if name is another kind's.
+func (r *Registry) HistogramVec(name, help string, bounds []float64, win WindowOptions, keys ...string) *HistogramVec {
+	if r == nil {
+		return nil
+	}
+	return register(r, name, "histogram", func() *HistogramVec {
+		b := append([]float64(nil), bounds...)
+		sort.Float64s(b)
+		newSeries := func() *Histogram {
+			var w *histWindows
+			if win.enabled() {
+				w = newHistWindows(win, len(b)+1)
+			}
+			return &Histogram{bounds: b, counts: make([]uint64, len(b)+1), win: w}
+		}
+		return &HistogramVec{vec: vec[*Histogram]{name: name, help: help, kind: "histogram",
+			keys: append([]string(nil), keys...), newSeries: newSeries}, bounds: b, win: win}
+	})
 }
 
 // SeriesPoint is one labelset's state inside a FamilyData snapshot.
@@ -451,73 +361,6 @@ type FamilyData struct {
 	Overflow uint64
 	// Series holds every labelset, sorted by label values.
 	Series []SeriesPoint
-}
-
-// snapshot captures a counter family. Reads the immutable series map,
-// no lock.
-func (v *CounterVec) snapshot(nanos int64) FamilyData {
-	if v == nil {
-		return FamilyData{}
-	}
-	fd := FamilyData{Name: v.name, Help: v.help, Kind: "counter",
-		Keys: append([]string(nil), v.keys...), Overflow: v.overflow.Load()}
-	for _, s := range v.load() {
-		fd.Series = append(fd.Series, SeriesPoint{
-			Values:  append([]string(nil), s.values...),
-			Counter: s.c.Value(),
-		})
-	}
-	sortSeries(fd.Series)
-	return fd
-}
-
-// snapshot captures a gauge family (including trailing windows as of
-// nanos).
-func (v *GaugeVec) snapshot(nanos int64) FamilyData {
-	if v == nil {
-		return FamilyData{}
-	}
-	fd := FamilyData{Name: v.name, Help: v.help, Kind: "gauge",
-		Keys: append([]string(nil), v.keys...), Overflow: v.overflow.Load()}
-	for _, s := range v.load() {
-		p := SeriesPoint{
-			Values: append([]string(nil), s.values...),
-			Gauge:  s.g.Value(),
-		}
-		if s.g.win != nil {
-			s.g.mu.Lock()
-			p.GaugeWindow = s.g.win.merge(nanos)
-			s.g.mu.Unlock()
-		}
-		fd.Series = append(fd.Series, p)
-	}
-	sortSeries(fd.Series)
-	return fd
-}
-
-// snapshot captures a histogram family (including trailing windows as
-// of nanos).
-func (v *HistogramVec) snapshot(nanos int64) FamilyData {
-	if v == nil {
-		return FamilyData{}
-	}
-	fd := FamilyData{Name: v.name, Help: v.help, Kind: "histogram",
-		Keys: append([]string(nil), v.keys...), Overflow: v.overflow.Load()}
-	for _, s := range v.load() {
-		hd := s.h.snapshot()
-		p := SeriesPoint{
-			Values: append([]string(nil), s.values...),
-			Hist:   &hd,
-		}
-		if s.h.win != nil {
-			s.h.mu.Lock()
-			p.Window = s.h.win.merge(nanos, s.h.bounds)
-			s.h.mu.Unlock()
-		}
-		fd.Series = append(fd.Series, p)
-	}
-	sortSeries(fd.Series)
-	return fd
 }
 
 // sortSeries orders points lexicographically by label values so

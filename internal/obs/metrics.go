@@ -187,27 +187,21 @@ func (h *Histogram) snapshot() HistogramData {
 // Registry is a set of labeled metric families keyed by name: the first
 // CounterVec/GaugeVec/HistogramVec call for a name creates the family,
 // later calls return the same one, so instrumented call sites need no
-// separate registration step. A registry stands on its own — the serving
-// layer keeps one whether or not it is traced — and every Tracer carries
-// one (Tracer.Registry) whose families its Snapshot exports. The zero
-// *Registry (nil) hands out nil families (lint:nilsafe: every exported
-// method tolerates a nil receiver).
+// separate registration step. A name is one family of one kind. A
+// registry stands on its own — the serving layer keeps one whether or
+// not it is traced — and every Tracer carries one (Tracer.Registry)
+// whose families its Snapshot exports. The zero *Registry (nil) hands
+// out nil families (lint:nilsafe: every exported method tolerates a nil
+// receiver).
 type Registry struct {
 	mu sync.Mutex
-	// The family maps are guarded by Registry.mu.
-	counterVecs   map[string]*CounterVec
-	gaugeVecs     map[string]*GaugeVec
-	histogramVecs map[string]*HistogramVec
+	// families maps a name to its one family of any kind, guarded by
+	// Registry.mu.
+	families map[string]family
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counterVecs:   map[string]*CounterVec{},
-		gaugeVecs:     map[string]*GaugeVec{},
-		histogramVecs: map[string]*HistogramVec{},
-	}
-}
+func NewRegistry() *Registry { return &Registry{families: map[string]family{}} }
 
 // Families snapshots every family, sorted by name, with trailing-window
 // views merged as of the call (nil on a nil registry). Each family takes
@@ -220,14 +214,8 @@ func (r *Registry) Families() []FamilyData {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []FamilyData
-	for _, v := range r.counterVecs {
-		out = append(out, v.snapshot(nanos))
-	}
-	for _, v := range r.gaugeVecs {
-		out = append(out, v.snapshot(nanos))
-	}
-	for _, v := range r.histogramVecs {
-		out = append(out, v.snapshot(nanos))
+	for _, f := range r.families {
+		out = append(out, f.snapshot(nanos))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -99,7 +99,6 @@ type histSubWindow struct {
 type histWindows struct {
 	opts WindowOptions
 	wins []histSubWindow
-	cur  int64 // current absolute sub-window index
 }
 
 func newHistWindows(opts WindowOptions, buckets int) *histWindows {
@@ -108,11 +107,12 @@ func newHistWindows(opts WindowOptions, buckets int) *histWindows {
 	for i := range wins {
 		wins[i] = histSubWindow{idx: -1, counts: make([]uint64, buckets)}
 	}
-	return &histWindows{opts: opts, cur: -1, wins: wins}
+	return &histWindows{opts: opts, wins: wins}
 }
 
-// rotate advances the ring to the sub-window holding nanos, clearing
-// every slot the advance passes over. Runs with Histogram.mu held.
+// rotate returns the ring slot of the sub-window holding nanos, cleared
+// first if it still holds an older sub-window; slots it skips hold stale
+// indices, which merges leave out. Runs with Histogram.mu held.
 func (hw *histWindows) rotate(nanos int64) *histSubWindow {
 	idx := nanos / int64(hw.opts.Width)
 	w := &hw.wins[idx%int64(len(hw.wins))]
@@ -124,9 +124,6 @@ func (hw *histWindows) rotate(nanos int64) *histSubWindow {
 		w.samples = w.samples[:0]
 		w.truncated = false
 		w.idx = idx
-	}
-	if idx > hw.cur {
-		hw.cur = idx
 	}
 	return w
 }

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -232,42 +234,103 @@ func TestGaugeWindowMax(t *testing.T) {
 	}
 }
 
-// TestVecIdentityAndOverflow checks resolve-once identity (same labels →
-// same instrument), snapshot ordering, and the cardinality cap
-// collapsing into the catch-all series.
+// TestVecIdentityAndOverflow checks, on every family kind, resolve-once
+// identity (same labels → same instrument), the padding or truncation of
+// a miscounted With call, snapshot ordering, and the cardinality cap
+// collapsing into a catch-all series of the family's own kind.
 func TestVecIdentityAndOverflow(t *testing.T) {
-	cv := NewRegistry().CounterVec("reqs_total", "requests", "model", "outcome")
-	a := cv.With("m4", "done")
-	if b := cv.With("m4", "done"); a != b {
-		t.Fatal("same labelset resolved to different counters")
-	}
-	a.Add(3)
-	cv.With("m7", "shed").Inc()
+	now := fakeClock(t)
+	*now = int64(time.Hour)
+	win := WindowOptions{SubWindows: 2, Width: time.Second}
+	bounds := []float64{1, 10}
+	for _, tc := range []struct {
+		kind string
+		// with resolves a labelset on family "f" and records one
+		// observation through the handle it returns.
+		with func(r *Registry, values ...string) any
+		// other checks the catch-all point p after n observations.
+		other func(t *testing.T, r *Registry, fam FamilyData, p SeriesPoint, n uint64)
+	}{
+		{"counter", func(r *Registry, values ...string) any {
+			c := r.CounterVec("f", "", "model", "outcome").With(values...)
+			c.Inc()
+			return c
+		}, func(t *testing.T, _ *Registry, _ FamilyData, p SeriesPoint, n uint64) {
+			if p.Counter != n {
+				t.Errorf("catch-all count = %d, want %d", p.Counter, n)
+			}
+		}},
+		{"gauge", func(r *Registry, values ...string) any {
+			g := r.GaugeVec("f", "", win, "model", "outcome").With(values...)
+			g.Set(7)
+			return g
+		}, func(t *testing.T, _ *Registry, _ FamilyData, p SeriesPoint, _ uint64) {
+			if w := p.GaugeWindow; p.Gauge != 7 || w == nil || !w.Observed || w.Max != 7 {
+				t.Errorf("catch-all gauge = %g, window %+v; want 7 with a trailing max of 7", p.Gauge, w)
+			}
+		}},
+		{"histogram", func(r *Registry, values ...string) any {
+			h := r.HistogramVec("f", "", bounds, win, "model", "outcome").With(values...)
+			h.Observe(5)
+			return h
+		}, func(t *testing.T, r *Registry, fam FamilyData, p SeriesPoint, n uint64) {
+			if p.Hist == nil || p.Hist.Count != n || !slices.Equal(p.Hist.Bounds, bounds) {
+				t.Errorf("catch-all histogram = %+v, want %d observations over bounds %v", p.Hist, n, bounds)
+			}
+			if p.Window == nil || p.Window.Count != n {
+				t.Errorf("catch-all window = %+v, want %d observations", p.Window, n)
+			}
+			var all uint64
+			for _, s := range fam.Series {
+				all += s.Hist.Count
+			}
+			if w := r.HistogramVec("f", "", nil, WindowOptions{}).Window(); w.Count != all {
+				t.Errorf("family window count = %d, want every series' %d", w.Count, all)
+			}
+		}},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			r := NewRegistry()
+			a := tc.with(r, "m4", "done")
+			if b := tc.with(r, "m4", "done"); a != b {
+				t.Fatal("same labelset resolved to different series")
+			}
+			tc.with(r, "m7", "shed")
+			// A miscounted call is padded with "" or truncated to the
+			// family's keys, landing on one fixed series.
+			if tc.with(r, "m4") != tc.with(r, "m4", "") {
+				t.Error(`With("m4") did not land on ("m4", "")`)
+			}
+			if tc.with(r) != tc.with(r, "", "") {
+				t.Error(`With() did not land on ("", "")`)
+			}
+			if tc.with(r, "m4", "done", "extra") != a {
+				t.Error(`With("m4", "done", "extra") did not land on ("m4", "done")`)
+			}
 
-	// Blow past the cap; extras must collapse into _other, bounded.
-	for i := 0; i < MaxSeriesPerVec+50; i++ {
-		cv.With("m", string(rune('a'+i%26))+string(rune('0'+i/26))).Inc()
-	}
-	fam := cv.snapshot(0)
-	if len(fam.Series) > MaxSeriesPerVec+1 {
-		t.Fatalf("series count %d exceeds cap %d (+catch-all)", len(fam.Series), MaxSeriesPerVec)
-	}
-	if fam.Overflow == 0 {
-		t.Fatal("expected overflow count after exceeding the cap")
-	}
-	var other uint64
-	for _, s := range fam.Series {
-		if s.Values[0] == overflowLabel {
-			other = s.Counter
-		}
-	}
-	if other == 0 {
-		t.Fatal("catch-all series absorbed nothing")
-	}
-	if !sort.SliceIsSorted(fam.Series, func(i, j int) bool {
-		return strings.Join(fam.Series[i].Values, "\x1f") < strings.Join(fam.Series[j].Values, "\x1f")
-	}) {
-		t.Fatal("family series not sorted by label values")
+			// Blow past the cap; extras must collapse into _other, bounded.
+			const created, extra = 4, 50
+			for i := 0; i < MaxSeriesPerVec-created+extra; i++ {
+				tc.with(r, "m", fmt.Sprint(i))
+			}
+			fam := r.Families()[0]
+			if fam.Kind != tc.kind || len(fam.Series) != MaxSeriesPerVec+1 || fam.Overflow != extra {
+				t.Fatalf("%s family: %d series, overflow %d; want %s with %d (+catch-all), overflow %d",
+					fam.Kind, len(fam.Series), fam.Overflow, tc.kind, MaxSeriesPerVec, extra)
+			}
+			i := slices.IndexFunc(fam.Series, func(p SeriesPoint) bool {
+				return slices.Equal(p.Values, []string{overflowLabel, overflowLabel})
+			})
+			if i < 0 {
+				t.Fatal("no catch-all series")
+			}
+			tc.other(t, r, fam, fam.Series[i], extra)
+			if !sort.SliceIsSorted(fam.Series, func(i, j int) bool {
+				return strings.Join(fam.Series[i].Values, "\x1f") < strings.Join(fam.Series[j].Values, "\x1f")
+			}) {
+				t.Fatal("family series not sorted by label values")
+			}
+		})
 	}
 
 	// Nil-safety: a nil registry's family chain is all no-ops.
@@ -278,6 +341,34 @@ func TestVecIdentityAndOverflow(t *testing.T) {
 	nilReg.HistogramVec("z", "", nil, WindowOptions{}).With().Observe(1)
 	if w := nilReg.HistogramVec("z", "", nil, WindowOptions{}).Window(); w != nil {
 		t.Fatalf("nil family window = %+v", w)
+	}
+}
+
+// TestFamilyNameIsOneKind checks that a name is one family: asking for
+// it again as the same kind returns that family, and as another kind
+// panics, naming the family and its kind, instead of exporting two TYPE
+// blocks for one name.
+func TestFamilyNameIsOneKind(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("x", "")
+	cv.With().Inc()
+	if r.CounterVec("x", "") != cv {
+		t.Fatal("same name and kind resolved to a different family")
+	}
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		r.GaugeVec("x", "", WindowOptions{}).With().Set(1)
+	}()
+	if !strings.Contains(msg, `"x"`) || !strings.Contains(msg, "counter") {
+		t.Errorf("registering counter x as a gauge: recovered %q, want a panic naming x and counter", msg)
+	}
+	var b strings.Builder
+	if err := WritePrometheus(&b, &Snapshot{Families: r.Families()}); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(b.String(), "# TYPE x "); n != 1 {
+		t.Fatalf("exposition has %d TYPE lines for x, want 1:\n%s", n, b.String())
 	}
 }
 
