@@ -5,6 +5,7 @@ import (
 
 	"github.com/vmcu-project/vmcu/internal/graph"
 	"github.com/vmcu-project/vmcu/internal/netplan"
+	"github.com/vmcu-project/vmcu/internal/plan"
 )
 
 // SchedRow is one module of the whole-network schedule comparison: the
@@ -67,7 +68,7 @@ func NetworkScheduleWithOptions(net graph.Network, budgetBytes int, opts netplan
 	rows := make([]SchedRow, 0, len(np.Modules))
 	for i, ms := range np.Modules {
 		cfg := net.Modules[i]
-		connected := i > 0 && netplan.Connects(net.Modules[i-1], cfg)
+		connected := i > 0 && plan.Connectable(net.Modules[i-1], cfg)
 		rows = append(rows, SchedRow{
 			Name:      ms.Name,
 			Policy:    ms.Policy.String(),

@@ -166,8 +166,7 @@ func RunModuleWithPlan(profile mcu.Profile, cfg plan.Bottleneck, p plan.Plan, se
 // proves no live segment is clobbered.
 func ExecModule(profile mcu.Profile, mw *ModuleWeights, p plan.Plan, rng *rand.Rand) (ExecResult, error) {
 	cfg := mw.Cfg
-	segsz := p.SegBytes
-	poolBytes := (p.FootprintBytes - p.WorkspaceBytes + segsz - 1) / segsz * segsz
+	poolBytes := p.PoolBytes()
 	if need := poolBytes + p.WorkspaceBytes; need > profile.RAMBytes() {
 		// Report the quantity actually checked: the segment-rounded pool
 		// plus workspace, which can exceed p.FootprintBytes by up to
@@ -177,7 +176,7 @@ func ExecModule(profile mcu.Profile, mw *ModuleWeights, p plan.Plan, rng *rand.R
 	}
 	dev := acquireDevice(profile, mw.Image.Bytes()+flashSlack)
 	defer releaseDevice(dev)
-	pool, err := seg.NewPool(dev, 0, poolBytes, segsz)
+	pool, err := seg.NewPool(dev, 0, poolBytes, p.SegBytes)
 	if err != nil {
 		return ExecResult{}, err
 	}

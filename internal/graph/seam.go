@@ -33,15 +33,14 @@ func RunSeam(profile mcu.Profile, spec plan.SeamSpec, p plan.Plan, seed int64) (
 // checker still proves no live segment is clobbered.
 func ExecSeam(profile mcu.Profile, sw *SeamWeights, p plan.Plan, rng *rand.Rand) (ExecResult, error) {
 	spec := sw.Spec
-	segsz := p.SegBytes
-	poolBytes := (p.FootprintBytes - p.WorkspaceBytes + segsz - 1) / segsz * segsz
+	poolBytes := p.PoolBytes()
 	if need := poolBytes + p.WorkspaceBytes; need > profile.RAMBytes() {
 		return ExecResult{}, fmt.Errorf("graph: seam %s needs %d bytes (pool %d + workspace %d), device has %d",
 			spec.Name, need, poolBytes, p.WorkspaceBytes, profile.RAMBytes())
 	}
 	dev := acquireDevice(profile, sw.Image.Bytes()+flashSlack)
 	defer releaseDevice(dev)
-	pool, err := seg.NewPool(dev, 0, poolBytes, segsz)
+	pool, err := seg.NewPool(dev, 0, poolBytes, p.SegBytes)
 	if err != nil {
 		return ExecResult{}, err
 	}

@@ -53,9 +53,11 @@ func ExecModuleUnfused(profile mcu.Profile, mw *ModuleWeights, rng *rand.Rand) (
 
 	dev := acquireDevice(profile, mw.Image.Bytes()+flashSlack)
 	defer releaseDevice(dev)
-	const segGran = 4 // the kernels address the pool byte-wise
-	capBytes := (chain.FootprintBytes + segGran - 1) / segGran * segGran
-	pool, err := seg.NewPool(dev, 0, capBytes, segGran)
+	// The kernels address the pool byte-wise; ChainPlan.PoolBytes rounds
+	// the footprint to this granularity, and NewPool rejects a capacity
+	// that is not a multiple of it.
+	const segGran = 4
+	pool, err := seg.NewPool(dev, 0, chain.PoolBytes(), segGran)
 	if err != nil {
 		return ExecResult{}, err
 	}

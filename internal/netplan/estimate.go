@@ -80,7 +80,7 @@ func EstimatePlan(profile mcu.Profile, net graph.Network, np *NetworkPlan) (*cos
 	}
 	for i := 0; i+1 < len(net.Modules); i++ {
 		a, b := net.Modules[i], net.Modules[i+1]
-		if Connects(a, b) {
+		if plan.Connectable(a, b) {
 			continue
 		}
 		if spec, ok := streamed[i]; ok {

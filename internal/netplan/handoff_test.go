@@ -179,7 +179,7 @@ func TestSeamOfAgreesWithConnects(t *testing.T) {
 	for _, net := range []graph.Network{graph.VWW(), graph.ImageNet()} {
 		for i := 0; i+1 < len(net.Modules); i++ {
 			a, b := net.Modules[i], net.Modules[i+1]
-			if Connects(a, b) {
+			if plan.Connectable(a, b) {
 				continue
 			}
 			spec, ok := plan.SeamOf(a, b)

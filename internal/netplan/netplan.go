@@ -421,7 +421,7 @@ func splitDepthLimit(net graph.Network, opts Options) int {
 		if _, forced := opts.Force[cfg.Name]; forced {
 			break
 		}
-		if i > 0 && !Connects(net.Modules[i-1], cfg) {
+		if i > 0 && !plan.Connectable(net.Modules[i-1], cfg) {
 			break
 		}
 		limit = i + 1
@@ -657,7 +657,7 @@ func solve(net graph.Network, opts Options, sp *plan.SplitPlan) (*NetworkPlan, e
 func crossBoundary(np *NetworkPlan, mode HandoffMode, producer int, cfg, next plan.Bottleneck, cur *int,
 	addTensor func(string, int) int, addStep func(string, int, int, ...int), constrain func(int, int, int)) error {
 	inBytes := next.H * next.W * next.Cin
-	if Connects(cfg, next) {
+	if plan.Connectable(cfg, next) {
 		// Connectable boundary: the output tensor is the next module's
 		// input; sizes must agree exactly.
 		if np.Tensors[*cur].Bytes != inBytes {
@@ -814,10 +814,6 @@ func (np *NetworkPlan) computeWindows() {
 	}
 }
 
-// Connects reports whether module a's output shape equals module b's input
-// shape, so the two can share one activation in the pool.
-func Connects(a, b plan.Bottleneck) bool { return plan.Connectable(a, b) }
-
 type candidate struct {
 	policy Policy
 	plans  []plan.Plan
@@ -829,12 +825,12 @@ type candidate struct {
 func scheduleModule(cfg plan.Bottleneck, forced Policy, hasForce bool) (ModuleSchedule, error) {
 	fused := plan.PlanBottleneckModule(cfg)
 	cands := []candidate{{PolicyFused, []plan.Plan{fused}, executableFused(fused)}}
-	if stages, ok := UnfusedStages(cfg); ok {
+	if stages, ok := plan.UnfusedStages(cfg); ok {
 		// The unfused window is the chain's one-pool footprint — exactly
 		// what graph.RunModuleUnfused allocates — so plan-time feasibility
 		// implies run-time feasibility.
 		if cp, err := plan.PlanChain(stages); err == nil {
-			cands = append(cands, candidate{PolicyUnfused, stages, executableUnfused(cp)})
+			cands = append(cands, candidate{PolicyUnfused, stages, cp.PoolBytes()})
 		}
 	}
 	if hasForce && forced == PolicyBaseline {
@@ -872,14 +868,6 @@ func scheduleModule(cfg plan.Bottleneck, forced Policy, hasForce bool) (ModuleSc
 	}, nil
 }
 
-// UnfusedStages returns the three per-layer plans (conv1, depthwise, conv2)
-// of the module if per-layer execution is supported (plan.UnfusedStages:
-// stride-1 pointwise convs and zero-padding segment sizes; residual
-// modules qualify, running with a pinned input and an add tail).
-func UnfusedStages(cfg plan.Bottleneck) ([]plan.Plan, bool) {
-	return plan.UnfusedStages(cfg)
-}
-
 // BaselinePlan is the disjoint fallback placement: the fused kernel with a
 // pointer gap wide enough that the output never reuses freed input
 // segments, mirroring TinyEngine's separate input/output buffers.
@@ -900,20 +888,7 @@ func baselineFrom(fused plan.Plan, name string) plan.Plan {
 // of segments, plus the workspace. It can exceed FootprintBytes by up to
 // SegBytes−1 when the span is not segment-aligned (never on the Table-2
 // backbones, but the feasibility guarantee must not depend on that).
-func executableFused(p plan.Plan) int {
-	pool := (p.FootprintBytes - p.WorkspaceBytes + p.SegBytes - 1) / p.SegBytes * p.SegBytes
-	return pool + p.WorkspaceBytes
-}
-
-// unfusedPoolGran mirrors the byte-wise pool granularity of
-// graph.RunModuleUnfused (its segGran constant).
-const unfusedPoolGran = 4
-
-// executableUnfused is the RAM graph.RunModuleUnfused actually allocates:
-// the whole chain footprint rounded up to the pool granularity.
-func executableUnfused(cp plan.ChainPlan) int {
-	return (cp.FootprintBytes + unfusedPoolGran - 1) / unfusedPoolGran * unfusedPoolGran
-}
+func executableFused(p plan.Plan) int { return p.PoolBytes() + p.WorkspaceBytes }
 
 // Fingerprint returns a deterministic serialization of the whole plan,
 // used to prove cache hits are byte-identical to cold solves. The split

@@ -224,6 +224,11 @@ func TestForcePolicy(t *testing.T) {
 	}
 }
 
+// unfusedPoolGran is the byte-wise pool granularity of
+// graph.RunModuleUnfused, stated here independently of
+// plan.ChainPlan.PoolBytes so the test below pins it.
+const unfusedPoolGran = 4
+
 // TestUnfusedWindowIsChainFootprint pins the plan/run feasibility
 // agreement: a forced-unfused module's window must equal the chain
 // footprint graph.RunModuleUnfused will actually allocate, and the network
@@ -231,7 +236,7 @@ func TestForcePolicy(t *testing.T) {
 func TestUnfusedWindowIsChainFootprint(t *testing.T) {
 	net := graph.VWW()
 	np := planOK(t, net, Options{Force: map[string]Policy{"S3": PolicyUnfused}})
-	stages, ok := UnfusedStages(net.Modules[2])
+	stages, ok := plan.UnfusedStages(net.Modules[2])
 	if !ok {
 		t.Fatal("S3 must be unfused-eligible")
 	}
@@ -272,10 +277,10 @@ func TestBaselinePlanDisjoint(t *testing.T) {
 // TestUnfusedStagesEligibility mirrors the executor's support matrix.
 func TestUnfusedStagesEligibility(t *testing.T) {
 	vww := graph.VWW()
-	if _, ok := UnfusedStages(graph.ImageNet().Modules[0]); ok {
+	if _, ok := plan.UnfusedStages(graph.ImageNet().Modules[0]); ok {
 		t.Error("strided-conv1 B1 reported unfused-eligible")
 	}
-	stages, ok := UnfusedStages(vww.Modules[2])
+	stages, ok := plan.UnfusedStages(vww.Modules[2])
 	if !ok || len(stages) != 3 {
 		t.Fatalf("S3 should be unfused-eligible, got ok=%v n=%d", ok, len(stages))
 	}
@@ -285,7 +290,7 @@ func TestUnfusedStagesEligibility(t *testing.T) {
 	}
 	// Residual S1 chains too, with conv1 widened so B never overlaps the
 	// pinned A (the skip add's source).
-	rstages, ok := UnfusedStages(vww.Modules[0])
+	rstages, ok := plan.UnfusedStages(vww.Modules[0])
 	if !ok {
 		t.Fatal("residual S1 should be unfused-eligible")
 	}
@@ -294,7 +299,7 @@ func TestUnfusedStagesEligibility(t *testing.T) {
 	}
 	// gcd chaining: B5's conv2 pads under min(C,K); the chain segment rule
 	// falls back to gcd so the stages still connect at raw tensor sizes.
-	b5stages, ok := UnfusedStages(graph.ImageNet().Modules[4])
+	b5stages, ok := plan.UnfusedStages(graph.ImageNet().Modules[4])
 	if !ok {
 		t.Fatal("B5 should be unfused-eligible under the gcd segment rule")
 	}

@@ -53,3 +53,15 @@ func BenchmarkHistogramEnabled(b *testing.B) {
 		h.Observe(float64(i % 128))
 	}
 }
+
+// BenchmarkVecWithHit is the per-event cost of resolving an existing
+// 3-key labelset, the path serve's terminal outcome counters take.
+func BenchmarkVecWithHit(b *testing.B) {
+	cv := NewRegistry().CounterVec("outcomes", "", "model", "shard", "outcome")
+	cv.With("vww", "m4-256k", "done")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cv.With("vww", "m4-256k", "done").Inc()
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -12,20 +11,22 @@ import (
 // Labeled metric families. A Vec is a family of instruments keyed by a
 // small fixed label set declared at construction (device, model, shard,
 // outcome — never request IDs). With(values...) resolves a labelset to
-// its per-series instrument; the intended pattern is resolve-once:
-// callers look the handle up when the labeled thing comes into
-// existence (a device is added, a model registered, a shard created)
-// and then observe through the plain *Counter/*Gauge/*Histogram handle,
-// so the per-observation cost is identical to an unlabeled instrument —
-// one atomic add or one short mutex hold, no map lookup.
+// its per-series instrument. Where the labelset is known when the
+// labeled thing comes into existence (a device is added, a model
+// registered, a shard created), resolve the handle once then and observe
+// through the plain *Counter/*Gauge/*Histogram, so the per-observation
+// cost is identical to an unlabeled instrument: one atomic add or one
+// short mutex hold, no map lookup. Where the labelset is only known at
+// the event (a request's terminal outcome), call With there: the family's
+// own map is the cache, and a warm With allocates nothing.
 //
 // The three kinds share one series map, vec. It is copy-on-write:
-// With's hit path is one atomic pointer load plus a lock-free map read,
-// and snapshots read the same immutable map. Only series CREATION takes
-// the family mutex (it copies the map, inserts, and republishes), which
-// is paid once per labelset for the family's lifetime — so even a
-// caller that ignores the resolve-once advice never contends a
-// reader-writer lock at per-request rates.
+// With's hit path builds the lookup key in a stack buffer and does one
+// atomic pointer load plus a lock-free map read, and snapshots read the
+// same immutable map. Only series CREATION takes the family mutex (it
+// copies the map, inserts, and republishes), which is paid once per
+// labelset for the family's lifetime, so per-request callers never
+// contend a lock.
 //
 // Cardinality is bounded by construction twice over: the label KEYS are
 // fixed per family, and the number of distinct label VALUES per family
@@ -41,10 +42,19 @@ const MaxSeriesPerVec = 512
 // overflowLabel is the label value of a family's catch-all series.
 const overflowLabel = "_other"
 
-// labelKey joins label values into a map key. 0x1f (unit separator)
-// cannot appear in sane label values; values containing it still only
-// risk colliding with each other, not corrupting state.
-func labelKey(values []string) string { return strings.Join(values, "\x1f") }
+// appendLabelKey appends the map key of label values to dst: the values
+// joined by 0x1f (unit separator), which cannot appear in sane label
+// values; values containing it still only risk colliding with each
+// other, not corrupting state.
+func appendLabelKey(dst []byte, values []string) []byte {
+	for i, s := range values {
+		if i > 0 {
+			dst = append(dst, '\x1f')
+		}
+		dst = append(dst, s...)
+	}
+	return dst
+}
 
 // normalizeValues pads or truncates values to match the family's key
 // count, so a miscounted With call lands on a deterministic series
@@ -99,14 +109,18 @@ func (v *vec[S]) load() map[string]*labeled[S] {
 
 // with returns the series for the given label values (one per key, in
 // key order), creating it on first use, or the catch-all series once
-// the family holds MaxSeriesPerVec labelsets. The hit path is lock-free;
-// only series creation locks.
+// the family holds MaxSeriesPerVec labelsets. The hit path is lock-free
+// and allocation-free: the key is built in a stack buffer, and the
+// compiler indexes a map by string(bytes) without converting. Only
+// series creation locks and allocates.
 func (v *vec[S]) with(values []string) S {
 	values = normalizeValues(values, len(v.keys))
-	k := labelKey(values)
-	if s := v.load()[k]; s != nil {
+	var buf [128]byte
+	kb := appendLabelKey(buf[:0], values)
+	if s := v.load()[string(kb)]; s != nil {
 		return s.inst
 	}
+	k := string(kb)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	cur := v.load()
@@ -119,7 +133,7 @@ func (v *vec[S]) with(values []string) S {
 		for i := range values {
 			values[i] = overflowLabel
 		}
-		k = labelKey(values)
+		k = string(appendLabelKey(nil, values))
 		if s := cur[k]; s != nil {
 			return s.inst
 		}

@@ -372,6 +372,26 @@ func TestFamilyNameIsOneKind(t *testing.T) {
 	}
 }
 
+// TestVecWithHitAllocatesNothing checks that resolving an existing
+// labelset allocates nothing, so a site that only knows its labelset at
+// the event (a request's outcome) can call With per event instead of
+// keeping its own handle cache.
+func TestVecWithHitAllocatesNothing(t *testing.T) {
+	cv := NewRegistry().CounterVec("outcomes", "", "model", "shard", "outcome")
+	model, shard, outcome := "vww", "m4-256k", "done"
+	want := cv.With(model, shard, outcome)
+	var got *Counter
+	allocs := testing.AllocsPerRun(1000, func() {
+		got = cv.With(model, shard, outcome)
+	})
+	if got != want {
+		t.Fatal("warm With resolved a different series")
+	}
+	if allocs != 0 {
+		t.Errorf("warm 3-key With allocates %v times per call, want 0", allocs)
+	}
+}
+
 // TestPrometheusLabeledExposition covers HELP lines, label rendering,
 // label-value escaping, and the windowed companion families.
 func TestPrometheusLabeledExposition(t *testing.T) {

@@ -31,6 +31,12 @@ type ChainPlan struct {
 	FootprintBytes int
 }
 
+// PoolBytes is the pool capacity the unfused chain runner allocates: the
+// whole chain footprint rounded up to the byte-wise pool granularity.
+func (cp ChainPlan) PoolBytes() int {
+	return ceilDiv(cp.FootprintBytes, bytePoolGran) * bytePoolGran
+}
+
 // PlanChain solves the placement of a linear chain from per-layer plans.
 // Stage i's InBytes must equal stage i-1's OutBytes (a connectable chain).
 func PlanChain(stages []Plan) (ChainPlan, error) {

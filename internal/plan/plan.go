@@ -35,6 +35,15 @@ type Plan struct {
 // GapBytes returns the input/output pointer separation in bytes.
 func (p Plan) GapBytes() int { return p.GapSegs * p.SegBytes }
 
+// PoolBytes is the circular-pool capacity the kernel executor allocates:
+// the activation span (FootprintBytes minus the out-of-pool workspace)
+// rounded up to a whole number of segments. Pool plus workspace can
+// exceed FootprintBytes by up to SegBytes−1 when the span is not
+// segment-aligned.
+func (p Plan) PoolBytes() int {
+	return ceilDiv(p.FootprintBytes-p.WorkspaceBytes, p.SegBytes) * p.SegBytes
+}
+
 func (p Plan) String() string {
 	return fmt.Sprintf("plan{seg=%dB in=%dB out=%dB gap=%dseg ws=%dB footprint=%dB}",
 		p.SegBytes, p.InBytes, p.OutBytes, p.GapSegs, p.WorkspaceBytes, p.FootprintBytes)

@@ -104,9 +104,9 @@ type PatchPlan struct {
 	Rows []RowRange
 }
 
-// splitPoolGran is the byte-wise pool granularity of the patch executor
-// (it addresses the pool per pixel vector, like the unfused chain runner).
-const splitPoolGran = 4
+// bytePoolGran is the byte-wise pool granularity of the patch executor
+// and the unfused chain runner (both address the pool per pixel vector).
+const bytePoolGran = 4
 
 // SplitPlan is the solved memory plan of a patch-split region, mirroring
 // exactly what graph.RunSplitRegion allocates so that plan-time
@@ -179,7 +179,7 @@ func PlanSplit(spec SplitSpec) (SplitPlan, error) {
 	sp := SplitPlan{
 		Spec:      spec,
 		JoinBytes: h3 * w3 * last.Cout,
-		SegBytes:  splitPoolGran,
+		SegBytes:  bytePoolGran,
 	}
 	// Row widths of the sub-chain tensors T0..Tk.
 	sp.RowBytes = make([]int, k+1)
@@ -231,7 +231,7 @@ func PlanSplit(spec SplitSpec) (SplitPlan, error) {
 	}
 
 	pool := sp.JoinBytes + sp.Side0Bytes + sp.Side1Bytes
-	pool = (pool + sp.SegBytes - 1) / sp.SegBytes * sp.SegBytes
+	pool = ceilDiv(pool, sp.SegBytes) * sp.SegBytes
 	sp.FootprintBytes = pool + sp.WorkspaceBytes
 	return sp, nil
 }

@@ -42,9 +42,10 @@ import (
 // comes into existence — shard handles at shard creation, device
 // handles at fleet join, the model's latency histogram at Register —
 // and then observed through directly, so the steady-state cost per
-// event is one atomic add or one short mutex hold. Only the terminal
-// outcome counter resolves its labelset at completion time (the outcome
-// isn't known earlier), through the server's resolve-once handle cache.
+// event is one atomic add or one short mutex hold. The submitted and
+// outcome counters are keyed by (model, shard), which is only known at
+// the event, so those sites call With there: a warm With is a lock-free,
+// allocation-free lookup in the family's own series map.
 
 // Serving metric family names.
 const (

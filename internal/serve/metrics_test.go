@@ -309,8 +309,9 @@ func TestMetricsConservationUntraced(t *testing.T) {
 
 // TestTerminalMetricsPathAllocatesNothing guards the always-on families'
 // per-request cost on an untraced server: once warm, the counters-only
-// terminal path — outcome counter, latency Observe, pool gauge — must not
-// allocate, or the admission flood would pay for metrics in GC.
+// lifecycle edges — submitted and outcome counters resolved by label at
+// the event, latency Observe, pool gauge — must not allocate, or the
+// admission flood would pay for metrics in GC.
 func TestTerminalMetricsPathAllocatesNothing(t *testing.T) {
 	s, err := NewServer(Options{
 		Devices: []DeviceConfig{{Name: "m4", Profile: mcu.CortexM4()}},
@@ -323,7 +324,7 @@ func TestTerminalMetricsPathAllocatesNothing(t *testing.T) {
 	if err := s.Register("tiny", tinyModel(), ModelConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	// Warm the resolve-once handle caches through the real path.
+	// Warm the families' series through the real path.
 	for i := 0; i < 8; i++ {
 		tk, err := s.Submit("tiny", SubmitOptions{Seed: int64(i)})
 		if err != nil {
@@ -343,11 +344,39 @@ func TestTerminalMetricsPathAllocatesNothing(t *testing.T) {
 	for i := 0; i < 2*obs.DefaultWindowSampleCap; i++ {
 		s.traceComplete(d, req, 0, time.Millisecond, nil)
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		s.traceComplete(d, req, 0, time.Millisecond, nil)
-		d.tracePoolUsed()
-	})
-	if allocs != 0 {
-		t.Errorf("untraced terminal metrics path allocates %v times per request, want 0", allocs)
+	// Every edge that resolves its labelset at the event, warmed once so
+	// the measured runs hit existing series.
+	edges := []struct {
+		name string
+		run  func()
+	}{
+		{"traceComplete", func() {
+			s.traceComplete(d, req, 0, time.Millisecond, nil)
+			d.tracePoolUsed()
+		}},
+		{"traceEnqueued", func() {
+			sh.mu.Lock()
+			s.traceEnqueued(sh, req, nil)
+			sh.mu.Unlock()
+		}},
+		{"traceSubmitRejected/queue-full", func() { s.traceSubmitRejected(req, nil, outcomeQueueFull) }},
+		{"traceSubmitRejected/no-device", func() { s.traceSubmitRejected(req, nil, outcomeNoDevice) }},
+		{"traceShedLocked", func() {
+			sh.mu.Lock()
+			s.traceShedLocked(sh, req)
+			sh.mu.Unlock()
+		}},
+		{"traceQueueExit", func() {
+			sh.mu.Lock()
+			s.traceQueueExit(sh, req, outcomeCanceled)
+			sh.mu.Unlock()
+		}},
+		{"traceDeviceLost", func() { s.traceDeviceLost(sh, req, d.name) }},
+	}
+	for _, e := range edges {
+		e.run()
+		if allocs := testing.AllocsPerRun(1000, e.run); allocs != 0 {
+			t.Errorf("untraced %s metrics path allocates %v times per request, want 0", e.name, allocs)
+		}
 	}
 }

@@ -190,12 +190,6 @@ type model struct {
 	// hLatency is the model's labeled sojourn-latency histogram handle,
 	// resolved once at registration.
 	hLatency *obs.Histogram
-	// hQueueFull and hNoDevice are the submit-rejection outcome handles,
-	// resolved at registration: at the saturation cliff nearly every
-	// submission bounces with one of these two outcomes, so the terminal
-	// edge must not pay even a cached-map hash for them.
-	hQueueFull *obs.Counter
-	hNoDevice  *obs.Counter
 }
 
 // pick returns the fastest variant fitting free pool bytes under the
@@ -272,14 +266,6 @@ type Server struct {
 	started      time.Time
 
 	nextID atomic.Uint64 // request id allocator
-
-	// outcomeHandles caches resolve-once outcome-counter handles for the
-	// per-request terminal sites in trace.go, copy-on-write and keyed by
-	// (model, shard, outcome) as comparable values: the hit path is one
-	// atomic load plus a map read — no label-key join, no allocation.
-	// outcomeMu serializes creators only.
-	outcomeHandles atomic.Pointer[map[outcomeKey]*obs.Counter]
-	outcomeMu      sync.Mutex
 
 	mu         sync.Mutex
 	models     map[string]*model // guarded by Server.mu
@@ -415,9 +401,7 @@ func (s *Server) Register(name string, net graph.Network, cfg ModelConfig) error
 	}
 	s.models[name] = &model{
 		name: name, net: net, cfg: cfg, variants: kept, minPeak: minPeak,
-		hLatency:   s.ins.latency.With(name),
-		hQueueFull: s.ins.outcomes.With(name, "", outcomeQueueFull),
-		hNoDevice:  s.ins.outcomes.With(name, "", outcomeNoDevice),
+		hLatency: s.ins.latency.With(name),
 	}
 	return nil
 }

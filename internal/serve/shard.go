@@ -55,42 +55,6 @@ type shard struct {
 	hBudgetMet          *obs.Counter
 	hBudgetMissed       *obs.Counter
 	hDeviceCrashes      *obs.Counter
-
-	// Per-model counter handles for the two per-request counters bumped
-	// while holding shard.mu (enqueue's submitted, deadline-shed's
-	// outcome). Resolved lazily on first use and cached so the steady
-	// state skips With()'s per-call label-key allocation under the lock.
-	// Guarded by shard.mu.
-	hSubmittedByModel map[*model]*obs.Counter
-	hShedByModel      map[*model]*obs.Counter
-}
-
-// submittedCounterLocked returns the cached submitted-total handle for
-// (model, shard), resolving it on first use. Runs with shard.mu held.
-func (sh *shard) submittedCounterLocked(m *model) *obs.Counter {
-	if h, ok := sh.hSubmittedByModel[m]; ok {
-		return h
-	}
-	h := sh.srv.ins.submitted.With(m.name, sh.key)
-	if sh.hSubmittedByModel == nil {
-		sh.hSubmittedByModel = make(map[*model]*obs.Counter)
-	}
-	sh.hSubmittedByModel[m] = h
-	return h
-}
-
-// shedCounterLocked returns the cached shed-deadline outcome handle for
-// (model, shard). Runs with shard.mu held.
-func (sh *shard) shedCounterLocked(m *model) *obs.Counter {
-	if h, ok := sh.hShedByModel[m]; ok {
-		return h
-	}
-	h := sh.srv.ins.outcomes.With(m.name, sh.key, outcomeShedDeadline)
-	if sh.hShedByModel == nil {
-		sh.hShedByModel = make(map[*model]*obs.Counter)
-	}
-	sh.hShedByModel[m] = h
-	return h
 }
 
 // updatePoolMaxLocked refreshes the routing mirror of the largest usable

@@ -83,48 +83,6 @@ import (
 // live p99 is noise and every early request would be "an outlier".
 const flightP99MinCount = 100
 
-// outcomeKey identifies one cached outcome-counter handle: the model (by
-// identity), the shard key ("" for submit-time and churn terminals that
-// never reached a shard), and the outcome label.
-type outcomeKey struct {
-	m       *model
-	shard   string
-	outcome string
-}
-
-// outcomeCounter returns the resolve-once handle for one outcome
-// labelset. The terminal tracing edges below run once per request — at
-// the saturation cliff that is >100k calls per second — so they must not
-// pay With()'s label-key join per call; the cache makes every hit a
-// lock-free map read on a comparable key, and the cardinality is bounded
-// by the same label set the family itself bounds (models × shards ×
-// outcome states).
-func (s *Server) outcomeCounter(m *model, shard, outcome string) *obs.Counter {
-	k := outcomeKey{m: m, shard: shard, outcome: outcome}
-	if cur := s.outcomeHandles.Load(); cur != nil {
-		if h, ok := (*cur)[k]; ok {
-			return h
-		}
-	}
-	s.outcomeMu.Lock()
-	defer s.outcomeMu.Unlock()
-	var cur map[outcomeKey]*obs.Counter
-	if p := s.outcomeHandles.Load(); p != nil {
-		cur = *p
-		if h, ok := cur[k]; ok {
-			return h
-		}
-	}
-	h := s.ins.outcomes.With(m.name, shard, outcome)
-	next := make(map[outcomeKey]*obs.Counter, len(cur)+1)
-	for kk, hh := range cur {
-		next[kk] = hh
-	}
-	next[k] = h
-	s.outcomeHandles.Store(&next)
-	return h
-}
-
 // flightDone is the request's terminal tracing edge. For a sampled
 // request it flushes the buffered span tree into the tracer and
 // completes its trace in the flight recorder: an empty reason discards
@@ -178,7 +136,7 @@ func (s *Server) traceSubmit(req *request, modelName string) (submit *obs.Span) 
 // traceEnqueued ends the submit span and opens the queue span. Runs with
 // shard.mu held, with the request id assigned.
 func (s *Server) traceEnqueued(sh *shard, req *request, submit *obs.Span) {
-	sh.submittedCounterLocked(req.mdl).Inc()
+	s.ins.submitted.With(req.mdl.name, sh.key).Inc()
 	if !req.sampled {
 		return
 	}
@@ -194,16 +152,8 @@ func (s *Server) traceEnqueued(sh *shard, req *request, submit *obs.Span) {
 // opened, and the request resolves to a terminal state right after.
 func (s *Server) traceSubmitRejected(req *request, submit *obs.Span, reason string) {
 	// Submit-time rejections never reached a shard; the shard label is
-	// empty by design, not unknown. The two cliff-dominant outcomes go
-	// through the model's pre-resolved handles.
-	switch reason {
-	case outcomeQueueFull:
-		req.mdl.hQueueFull.Inc()
-	case outcomeNoDevice:
-		req.mdl.hNoDevice.Inc()
-	default:
-		s.outcomeCounter(req.mdl, "", reason).Inc()
-	}
+	// empty by design, not unknown.
+	s.ins.outcomes.With(req.mdl.name, "", reason).Inc()
 	if req.sampled {
 		submit.Attr(obs.Str("outcome", reason))
 		submit.EndTo(req.spanBuf)
@@ -265,7 +215,7 @@ func (s *Server) traceAdmit(sh *shard, d *device, req *request, degraded bool) {
 // traceQueueExit closes the tree of a request that left the queue without
 // admission (deadline shed or cancel). Runs with shard.mu held.
 func (s *Server) traceQueueExit(sh *shard, req *request, outcome string) {
-	s.outcomeCounter(req.mdl, sh.key, outcome).Inc()
+	s.ins.outcomes.With(req.mdl.name, sh.key, outcome).Inc()
 	if req.sampled {
 		req.queueSpan.Attr(obs.Str("outcome", outcome))
 		req.queueSpan.EndTo(req.spanBuf)
@@ -282,7 +232,7 @@ func (s *Server) traceQueueExit(sh *shard, req *request, outcome string) {
 // from the queue; the expensive rest of the tree close happens off-lock
 // in traceShedFinish.
 func (s *Server) traceShedLocked(sh *shard, req *request) {
-	sh.shedCounterLocked(req.mdl).Inc()
+	s.ins.outcomes.With(req.mdl.name, sh.key, outcomeShedDeadline).Inc()
 	if !req.sampled {
 		return
 	}
@@ -341,7 +291,7 @@ func (s *Server) traceRequeue(sh *shard, req *request, from string) {
 // call itself); the queue span, if any, was already ended by
 // traceEvacuated.
 func (s *Server) traceDeviceLost(sh *shard, req *request, devName string) {
-	s.outcomeCounter(req.mdl, sh.key, outcomeDeviceLost).Inc()
+	s.ins.outcomes.With(req.mdl.name, sh.key, outcomeDeviceLost).Inc()
 	if req.sampled {
 		req.rootSpan.Attr(
 			obs.Str("state", outcomeDeviceLost),
@@ -388,7 +338,7 @@ func (s *Server) traceComplete(d *device, req *request, freed int, latency time.
 		req.rootSpan.SetDevice(d.name)
 		req.rootSpan.EndTo(req.spanBuf)
 	}
-	s.outcomeCounter(req.mdl, d.sh.key, state).Inc()
+	s.ins.outcomes.With(req.mdl.name, d.sh.key, state).Inc()
 
 	latMs := float64(latency) / float64(time.Millisecond)
 	req.mdl.hLatency.Observe(latMs)
