@@ -10,7 +10,10 @@
 // (mcu.DotInt8x4): each product fits an int16 lane, and int32 addition
 // wraps the same way in any order. The sequence still defines the charged
 // cost, one MAC and one widening ALU op per element, and it is the oracle
-// the tests check the intrinsics against.
+// the tests check the intrinsics against. FlashDot charges and computes
+// one weight row per call; FlashMatVec charges a whole output pixel's rows
+// at once and computes them four rows per pass over the activations. The
+// charge is the same either way, and so are the results.
 package intrin
 
 import (
@@ -106,6 +109,15 @@ func (c *Ctx) FlashLoad(dst []int8, ref mcu.FlashRef, off int) {
 	}
 }
 
+// FlashView returns the n weight bytes at ref.Off+off in place, charging
+// exactly what FlashLoad of n weights charges. Callers read the bytes as
+// int8 and must not write through the view. It is nil after an
+// out-of-bounds device read, which the device records as a violation; a
+// kernel then skips the accumulation, as FlashDot does.
+func (c *Ctx) FlashView(ref mcu.FlashRef, off, n int) []byte {
+	return c.flashView("flash view", ref, off, n)
+}
+
 // FlashLoadInt32 reads n little-endian int32 values (bias vectors) from
 // Flash at ref.Off + 4*off.
 func (c *Ctx) FlashLoadInt32(dst []int32, ref mcu.FlashRef, off int) {
@@ -149,23 +161,82 @@ func (c *Ctx) FlashDot(a []int8, ref mcu.FlashRef, off int, acc *int32) {
 // the Flash traffic of every weight row (or, for a row past the device's
 // Flash, its OutOfBounds violation), n MACs and n ALU ops per row, and the
 // requantize ALU ops. A kernel that already holds the rows' int8 results
-// calls it instead of recomputing them, so the device is billed for the
-// work it models while the host skips the arithmetic.
+// calls it instead of FlashMatVec, so the device is billed for the work it
+// models while the host skips the arithmetic.
 func (c *Ctx) ChargeFlashDotRows(ref mcu.FlashRef, off, n, rows int) {
+	if c.flashRows("flash dot rows", ref, off, n, rows) == nil {
+		for i := 0; i < rows; i++ {
+			c.Dev.FlashView(ref.Off+off+i*n, n)
+		}
+	}
+}
+
+// FlashMatVec sets out[j] = Requantize(bias[j] + a·W[j]) for the len(out)
+// weight rows W[j], the len(a) int8 weights at ref.Off+off+j·len(a). It
+// charges exactly what len(out) calls of FlashDot followed by Requantize
+// charge, and leaves the same violations: when the rows run past the
+// device's Flash it reads them row by row, so each row past the end
+// records its own OutOfBounds violation and is left at its bias. Inside
+// Flash it reads all rows through one view and computes four rows per pass
+// over a.
+func (c *Ctx) FlashMatVec(out, a []int8, ref mcu.FlashRef, off int, bias []int32, req tensor.Requant) {
+	if len(bias) != len(out) {
+		panic(fmt.Sprintf("intrin: mat-vec of %d rows with %d biases", len(out), len(bias)))
+	}
+	n := len(a)
+	w := c.flashRows("flash mat-vec", ref, off, n, len(out))
+	if w == nil {
+		for j := range out {
+			acc := bias[j]
+			if wj := c.Dev.FlashView(ref.Off+off+j*n, n); wj != nil {
+				acc = dot(acc, a, wj)
+			}
+			out[j] = req.Apply(acc)
+		}
+		return
+	}
+	j := 0
+	for ; j+4 <= len(out); j += 4 {
+		w0 := w[j*n:][:n]
+		w1 := w[(j+1)*n:][:n]
+		w2 := w[(j+2)*n:][:n]
+		w3 := w[(j+3)*n:][:n]
+		acc0, acc1, acc2, acc3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
+		for i, x := range a {
+			v := int32(x)
+			acc0 += v * int32(int8(w0[i]))
+			acc1 += v * int32(int8(w1[i]))
+			acc2 += v * int32(int8(w2[i]))
+			acc3 += v * int32(int8(w3[i]))
+		}
+		out[j] = req.Apply(acc0)
+		out[j+1] = req.Apply(acc1)
+		out[j+2] = req.Apply(acc2)
+		out[j+3] = req.Apply(acc3)
+	}
+	for ; j < len(out); j++ {
+		out[j] = req.Apply(dot(bias[j], a, w[j*n:]))
+	}
+}
+
+// flashRows checks that rows weight rows of n bytes at off lie inside blob
+// ref and charges what rows FlashDot calls of length n, each followed by
+// one Requantize, charge besides their Flash reads: n MACs and n ALU ops
+// per row, and the requantize ALU ops. It returns the rows' bytes viewed
+// in one piece, charging their traffic, or nil when they run past the
+// device's Flash: the caller then views them row by row, so every row
+// records its own traffic or violation.
+func (c *Ctx) flashRows(op string, ref mcu.FlashRef, off, n, rows int) []byte {
 	span := rows * n
 	if off < 0 || off+span > ref.Len {
-		panic(fmt.Sprintf("intrin: flash dot rows [%d,%d) outside blob of %d bytes", off, off+span, ref.Len))
-	}
-	if start := ref.Off + off; start >= 0 && start+span <= c.Dev.FlashSize() {
-		c.Dev.FlashView(start, span)
-	} else {
-		// Each row past the device's Flash records its own violation.
-		for i := 0; i < rows; i++ {
-			c.Dev.FlashView(start+i*n, n)
-		}
+		panic(fmt.Sprintf("intrin: %s [%d,%d) outside blob of %d bytes", op, off, off+span, ref.Len))
 	}
 	c.chargeDot(span)
 	c.Dev.CountALU(rows * requantizeALU)
+	if start := ref.Off + off; start >= 0 && start+span <= c.Dev.FlashSize() {
+		return c.Dev.FlashView(start, span)
+	}
+	return nil
 }
 
 // chargeDot charges an n-element dot product: per group of four, two

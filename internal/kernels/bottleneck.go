@@ -229,7 +229,7 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 		lastUse[h] = last
 	}
 
-	aBuf, wBuf := sc.aBuf, sc.wBuf // residual A pixel, one depthwise tap
+	aBuf := sc.aBuf // residual A pixel
 	bPix, cPix, dPix, ePix := sc.bPix, sc.cPix, sc.dPix, sc.ePix
 	biasD, bias2 := sc.biasD, sc.bias2
 	accD := sc.accD // depthwise accumulators, reset per C pixel
@@ -330,9 +330,13 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 					}
 					slot := ((bw % cfg.S) + cfg.S) % cfg.S
 					loadPix(slot*colBytes+r*cfg.Cmid, bPix)
-					c.FlashLoad(wBuf, k.wd, (r*cfg.S+s)*cfg.Cmid)
-					for cc := 0; cc < cfg.Cmid; cc++ {
-						accD[cc] += int32(bPix[cc]) * int32(wBuf[cc])
+					// The tap's weights are read in place; an
+					// out-of-bounds view skips the tap, as FlashDot does.
+					if w := c.FlashView(k.wd, (r*cfg.S+s)*cfg.Cmid, cfg.Cmid); w != nil {
+						w, acc := w[:len(bPix)], accD[:len(bPix)]
+						for cc, x := range bPix {
+							acc[cc] += int32(x) * int32(int8(w[cc]))
+						}
 					}
 					c.Dev.CountMACs(cfg.Cmid)
 				}
@@ -344,11 +348,7 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 
 			// Second pointwise: C pixel -> D pixel.
 			loadPix(cOff, cPix)
-			for n := 0; n < cfg.Cout; n++ {
-				acc := bias2[n]
-				c.FlashDot(cPix, k.w2, n*cfg.Cmid, &acc)
-				dPix[n] = c.Requantize(acc, k.Weights.Req2)
-			}
+			c.FlashMatVec(dPix, cPix, k.w2, 0, bias2, k.Weights.Req2)
 			storePix(dOff, dPix)
 
 			// Residual add with the corresponding A pixel, then store E.
@@ -388,7 +388,7 @@ type runScratch struct {
 	conv1                  conv1Stage
 	lastUse                []int
 	cols                   []colMeta
-	aBuf, wBuf             []int8
+	aBuf                   []int8
 	bPix, cPix, dPix, ePix []int8
 	biasD, bias2, accD     []int32
 	pixBuf, shiftBuf       []byte
@@ -405,7 +405,6 @@ func (sc *runScratch) size(cfg plan.Bottleneck) {
 	sc.lastUse = resize(sc.lastUse, cfg.H)
 	sc.cols = resize(sc.cols, cfg.S)
 	sc.aBuf = resize(sc.aBuf, cfg.Cin)
-	sc.wBuf = resize(sc.wBuf, cfg.Cmid)
 	sc.bPix = resize(sc.bPix, cfg.Cmid)
 	sc.cPix = resize(sc.cPix, cfg.Cmid)
 	sc.dPix = resize(sc.dPix, cfg.Cout)
@@ -465,11 +464,7 @@ func (s *conv1Stage) pixel(bh, bw int) []int8 {
 		return b
 	}
 	_, before := c.Dev.Violations()
-	for n := 0; n < cfg.Cmid; n++ {
-		acc := s.bias[n]
-		c.FlashDot(s.a, s.k.w1, n*cfg.Cin, &acc)
-		s.b[n] = c.Requantize(acc, s.k.Weights.Req1)
-	}
+	c.FlashMatVec(s.b, s.a, s.k.w1, 0, s.bias, s.k.Weights.Req1)
 	s.k.conv1Computes++
 	if _, after := c.Dev.Violations(); after == before {
 		s.memo.store(bh, bw, s.a, s.b)

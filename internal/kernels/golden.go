@@ -46,13 +46,33 @@ func GoldenPointwise(in []int8, h, w, c, k, stride int, wt []int8, bias []int32,
 
 // goldenPixel computes one output row of a matrix-vector product,
 // out[j] = requant(in·w[j] + bias[j]), with w laid out [len(out)][len(in)].
+// It computes four output channels per pass over in, then the remainder
+// one at a time.
 func goldenPixel(out, in, w []int8, bias []int32, req tensor.Requant) {
-	for j := range out {
+	n := len(in)
+	var b [4]int32
+	j := 0
+	for ; j+4 <= len(out); j += 4 {
+		if bias != nil {
+			b = [4]int32(bias[j : j+4])
+		}
+		r0, r1, r2, r3 := w[j*n:][:n], w[(j+1)*n:][:n], w[(j+2)*n:][:n], w[(j+3)*n:][:n]
+		acc0, acc1, acc2, acc3 := b[0], b[1], b[2], b[3]
+		for i, x := range in {
+			v := int32(x)
+			acc0 += v * int32(r0[i])
+			acc1 += v * int32(r1[i])
+			acc2 += v * int32(r2[i])
+			acc3 += v * int32(r3[i])
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = req.Apply(acc0), req.Apply(acc1), req.Apply(acc2), req.Apply(acc3)
+	}
+	for ; j < len(out); j++ {
 		var acc int32
 		if bias != nil {
 			acc = bias[j]
 		}
-		row := w[j*len(in):][:len(in)]
+		row := w[j*n:][:n]
 		for i, x := range in {
 			acc += int32(x) * int32(row[i])
 		}
@@ -99,9 +119,9 @@ func GoldenConv2D(in []int8, h, w, c, k, r, s, stride, pad int, wt []int8, bias 
 }
 
 // GoldenDepthwise computes a depthwise convolution with zero padding:
-// weights laid out [R][S][C]. Channels are the innermost loop: each window
-// tap adds one input pixel times one weight row into a row of per-channel
-// accumulators.
+// weights laid out [R][S][C]. Channels are the innermost loop, unrolled by
+// four: each window tap adds one input pixel times one weight row into a
+// row of per-channel accumulators.
 func GoldenDepthwise(in []int8, h, w, c, r, s, stride, pad int, wt []int8, bias []int32, req tensor.Requant) []int8 {
 	if len(in) != h*w*c || len(wt) != r*s*c || (bias != nil && len(bias) != c) {
 		panic("golden: depthwise size mismatch")
@@ -129,7 +149,15 @@ func GoldenDepthwise(in []int8, h, w, c, r, s, stride, pad int, wt []int8, bias 
 					}
 					px := in[(ih*w+iw)*c:][:len(acc)]
 					wr := wt[(rr*s+ss)*c:][:len(acc)]
-					for cc := range acc {
+					cc := 0
+					for ; cc+4 <= len(acc); cc += 4 {
+						a4, x4, w4 := acc[cc:cc+4:cc+4], px[cc:cc+4:cc+4], wr[cc:cc+4:cc+4]
+						a4[0] += int32(x4[0]) * int32(w4[0])
+						a4[1] += int32(x4[1]) * int32(w4[1])
+						a4[2] += int32(x4[2]) * int32(w4[2])
+						a4[3] += int32(x4[3]) * int32(w4[3])
+					}
+					for ; cc < len(acc); cc++ {
 						acc[cc] += int32(px[cc]) * int32(wr[cc])
 					}
 				}

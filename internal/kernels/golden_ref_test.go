@@ -84,7 +84,9 @@ func refGoldenDepthwise(in []int8, h, w, c, r, s, stride, pad int, wt []int8, bi
 // TestGoldenMatchesIndexFormReference checks the golden layers byte for
 // byte against the index-form references over random shapes: strides 1
 // and 2, windows of 3, 5 and 7, odd channel counts, nil bias, and inputs
-// drawn only from the int8 rails.
+// drawn only from the int8 rails. A final sweep takes every input and
+// output channel count 1–9, so the golden's four-channel blocks meet every
+// remainder mod 4 on both sides, with and without bias.
 func TestGoldenMatchesIndexFormReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	rails := []int8{-128, -127, 127, 0}
@@ -142,5 +144,29 @@ func TestGoldenMatchesIndexFormReference(t *testing.T) {
 		same("depthwise "+tag,
 			GoldenDepthwise(in, h, w, c, r, s, stride, pad, wdw, biasC, rq),
 			refGoldenDepthwise(in, h, w, c, r, s, stride, pad, wdw, biasC, rq))
+	}
+	for c := 1; c <= 9; c++ {
+		for k := 1; k <= 9; k++ {
+			for _, withBias := range []bool{false, true} {
+				extreme := (c+k)%2 == 0
+				h, w := 3, 4
+				rq := req(scales[(c+k)%len(scales)])
+				var biasC, biasK []int32
+				if withBias {
+					biasC, biasK = randInt32(rng, c, 1<<12), randInt32(rng, k, 1<<12)
+				}
+				in, wpw, wdw := fill(h*w*c, extreme), fill(k*c, extreme), fill(9*c, extreme)
+				tag := fmt.Sprintf("sweep c=%d k=%d bias=%v extreme=%v", c, k, withBias, extreme)
+				same("pointwise "+tag,
+					GoldenPointwise(in, h, w, c, k, 1, wpw, biasK, rq),
+					refGoldenPointwise(in, h, w, c, k, 1, wpw, biasK, rq))
+				same("fc "+tag,
+					GoldenFC(in, h*w, c, k, wpw, biasK, rq),
+					refGoldenFC(in, h*w, c, k, wpw, biasK, rq))
+				same("depthwise "+tag,
+					GoldenDepthwise(in, h, w, c, 3, 3, 1, 1, wdw, biasC, rq),
+					refGoldenDepthwise(in, h, w, c, 3, 3, 1, 1, wdw, biasC, rq))
+			}
+		}
 	}
 }

@@ -62,7 +62,7 @@ func (k *Seam) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error) 
 	aBuf := make([]int8, sp.Cin)
 	oBuf := make([]int8, sp.Cout)
 	biasBuf := make([]int32, sp.Cout)
-	acc := make([]int32, sp.Cout) // accumulators, reset per output pixel
+	acc := make([]int32, sp.Cout) // accumulators, reset to the bias per output pixel
 	if k.Bias.Len != 0 {
 		c.FlashLoadInt32(biasBuf, k.Bias, 0)
 	}
@@ -76,12 +76,7 @@ func (k *Seam) Run(c *intrin.Ctx, p plan.Plan, in Placement) (Placement, error) 
 			if k.Bias.Len != 0 {
 				copy(acc, biasBuf)
 			}
-			for n := 0; n < sp.Cout; n++ {
-				c.FlashDot(aBuf, k.Weight, n*sp.Cin, &acc[n])
-			}
-			for i := range oBuf {
-				oBuf[i] = c.Requantize(acc[i], k.Req)
-			}
+			c.FlashMatVec(oBuf, aBuf, k.Weight, 0, acc, k.Req)
 			oElem := (op*ow + oq) * sp.Cout
 			c.RAMStore(outOff+oElem, oBuf, outID, oElem)
 		}

@@ -291,15 +291,24 @@ func (d *Device) WriteTagged(addr int, src []byte, id TensorID, elem0 int) {
 // ReadTagged reads n bytes at addr into dst, asserting every byte is still
 // owned by tensor id with consecutive element indices from elem0. Each
 // mismatched byte records a violation; data is returned regardless, exactly
-// like real hardware would hand back clobbered memory.
+// like real hardware would hand back clobbered memory. A tight loop finds
+// the first mismatch; bytes are classified one by one only from there on.
 func (d *Device) ReadTagged(addr int, dst []byte, id TensorID, elem0 int) {
 	if !d.inRAM(addr, len(dst)) {
 		d.record(Violation{Kind: OutOfBounds, Addr: addr})
 		return
 	}
 	copy(dst, d.ram[addr:addr+len(dst)])
-	for i := range dst {
-		c := d.shadow[addr+i]
+	shadow := d.shadow[addr:][:len(dst)]
+	first := len(shadow)
+	for i, c := range shadow {
+		if c.owner != id || c.elem != int32(elem0+i) {
+			first = i
+			break
+		}
+	}
+	for i := first; i < len(dst); i++ {
+		c := shadow[i]
 		switch {
 		case c.owner == id && c.elem == int32(elem0+i):
 			// ok

@@ -35,6 +35,8 @@ func (r Requant) Scale() float64 {
 // Apply requantizes an int32 accumulator to int8 using round-to-nearest-
 // even-agnostic rounding (round half away from zero, matching
 // SaturatingRoundingDoublingHighMul + rounding right shift in CMSIS-NN).
+// Every kernel and golden output passes through it, so its rounding and
+// saturation are written without data-dependent branches.
 func (r Requant) Apply(acc int32) int8 {
 	v := mulHighRounded(acc, r.Mult)
 	v = roundingRightShift(v, -r.Shift)
@@ -49,37 +51,33 @@ func mulHighRounded(a, b int32) int32 {
 		return math.MaxInt32
 	}
 	ab := int64(a) * int64(b)
-	nudge := int64(1 << 30)
-	if ab < 0 {
-		nudge = 1 - 1<<30
-	}
+	// The nudge is 2^30, or 1 − 2^30 for a negative product: the sign mask
+	// selects the difference without a branch.
+	nudge := int64(1<<30) + (ab>>63)&(1-1<<31)
 	return int32((ab + nudge) >> 31)
 }
 
 // roundingRightShift shifts right by n with round-half-away-from-zero,
 // matching CMSIS-NN's rounding divide-by-power-of-two. n <= 0 shifts left.
+// It rounds the magnitude and restores the sign through a sign mask, so
+// the accumulator's sign costs no branch: in 64 bits neither the
+// magnitude of an int32 nor the rounding half can overflow. At n = 0 the
+// half is 0 (a Go shift by at least the width yields 0), leaving v as is.
 func roundingRightShift(v int32, n int) int32 {
-	if n <= 0 {
+	if n < 0 {
 		return v << uint(-n)
 	}
-	half := int64(1) << uint(n-1)
 	x := int64(v)
-	if x >= 0 {
-		return int32((x + half) >> uint(n))
-	}
-	return int32(-((-x + half) >> uint(n)))
+	sign := x >> 63 // 0 or -1
+	mag := (x ^ sign) - sign
+	r := (mag + int64(1)<<uint(n-1)) >> uint(n)
+	return int32((r ^ sign) - sign)
 }
 
 // SaturateInt8 clamps v to the int8 range, the software analogue of the
 // ARM SSAT instruction with an 8-bit width.
 func SaturateInt8(v int32) int8 {
-	if v > 127 {
-		return 127
-	}
-	if v < -128 {
-		return -128
-	}
-	return int8(v)
+	return int8(min(max(v, -128), 127))
 }
 
 // SaturateInt16 clamps v to the int16 range (SSAT #16).
