@@ -9,7 +9,6 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"github.com/vmcu-project/vmcu/internal/baseline"
 	"github.com/vmcu-project/vmcu/internal/intrin"
@@ -185,16 +184,17 @@ func ExecModule(profile mcu.Profile, mw *ModuleWeights, p plan.Plan, rng *rand.R
 	if err != nil {
 		return ExecResult{}, err
 	}
-	in := drawInt8(rng, cfg.H*cfg.W*cfg.Cin)
+	hs := acquireHarness()
+	defer hs.release()
+	in := hs.draw(rng, cfg.H*cfg.W*cfg.Cin)
 	inPl := kernels.PlaceInput(ctx, cfg.Name+".A", in, p.GapBytes())
 	dev.ResetPeak()
 	out, err := kn.Run(ctx, p, inPl, poolBytes)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	want := kernels.GoldenBottleneck(in, cfg.H, cfg.W, cfg.Cin, cfg.Cmid, cfg.Cout,
-		cfg.R, cfg.S, cfg.S1, cfg.S2, cfg.S3, mw.BottleneckWeights, cfg.Residual())
-	return result(cfg.Name, p, dev, slices.Equal(kernels.Extract(ctx, out), want)), nil
+	want := hs.goldenModule(0, mw, in, cfg.Residual())
+	return result(cfg.Name, p, dev, hs.verify(ctx, out, want)), nil
 }
 
 // result reports a finished unit run on dev.

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"github.com/vmcu-project/vmcu/internal/intrin"
 	"github.com/vmcu-project/vmcu/internal/kernels"
@@ -50,13 +49,17 @@ func ExecSeam(profile mcu.Profile, sw *SeamWeights, p plan.Plan, rng *rand.Rand)
 		return ExecResult{}, err
 	}
 	kn := &kernels.Seam{Spec: spec, Req: sw.Req, Weight: sw.Image.Part(base, 0), Bias: sw.Image.Part(base, 1)}
-	in := drawInt8(rng, spec.InBytes())
+	hs := acquireHarness()
+	defer hs.release()
+	in := hs.draw(rng, spec.InBytes())
 	inPl := kernels.PlaceInput(ctx, spec.Name+".in", in, p.GapBytes())
 	dev.ResetPeak()
 	out, err := kn.Run(ctx, p, inPl)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	want := kernels.GoldenPointwise(in, spec.H, spec.W, spec.Cin, spec.Cout, spec.Stride, sw.W, sw.Bias, sw.Req)
-	return result(spec.Name, p, dev, slices.Equal(kernels.Extract(ctx, out), want)), nil
+	want := hs.golden.Pointwise(hs.want[0], in, spec.H, spec.W, spec.Cin, spec.Cout, spec.Stride,
+		sw.W, sw.Bias, sw.Req)
+	hs.want[0] = want
+	return result(spec.Name, p, dev, hs.verify(ctx, out, want)), nil
 }

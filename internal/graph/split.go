@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"github.com/vmcu-project/vmcu/internal/intrin"
 	"github.com/vmcu-project/vmcu/internal/kernels"
@@ -85,7 +84,9 @@ func ExecSplitRegion(profile mcu.Profile, sp plan.SplitPlan, mws []*ModuleWeight
 		}
 	}
 	first := mods[0]
-	in := drawInt8(rng, first.H*first.W*first.Cin)
+	hs := acquireHarness()
+	defer hs.release()
+	in := hs.draw(rng, first.H*first.W*first.Cin)
 
 	joinPl := kernels.Placement{
 		ID:    dev.NewTensorID(regionName(sp) + ".join"),
@@ -128,11 +129,11 @@ func ExecSplitRegion(profile mcu.Profile, sp plan.SplitPlan, mws []*ModuleWeight
 		}
 	}
 
+	// Module i reads module i-1's golden output and writes the other
+	// ping-pong buffer.
 	want := in
-	for _, mw := range mws {
-		cfg := mw.Cfg
-		want = kernels.GoldenBottleneck(want, cfg.H, cfg.W, cfg.Cin, cfg.Cmid, cfg.Cout,
-			cfg.R, cfg.S, cfg.S1, cfg.S2, cfg.S3, mw.BottleneckWeights, false)
+	for i, mw := range mws {
+		want = hs.goldenModule(i%2, mw, want, false)
 	}
 	return result(regionName(sp), plan.Plan{
 		SegBytes:       sp.SegBytes,
@@ -142,7 +143,7 @@ func ExecSplitRegion(profile mcu.Profile, sp plan.SplitPlan, mws []*ModuleWeight
 		FootprintBytes: sp.FootprintBytes,
 		Note: fmt.Sprintf("patch-split region %s (%d patches, %d halo rows recomputed)",
 			regionName(sp), len(sp.Patches), sp.RecomputedRows),
-	}, dev, slices.Equal(kernels.Extract(ctx, joinPl), want)), nil
+	}, dev, hs.verify(ctx, joinPl, want)), nil
 }
 
 // regionName labels a split region, e.g. "B1+B2(split×8)".

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"github.com/vmcu-project/vmcu/internal/intrin"
 	"github.com/vmcu-project/vmcu/internal/kernels"
@@ -74,7 +73,9 @@ func ExecModuleUnfused(profile mcu.Profile, mw *ModuleWeights, rng *rand.Rand) (
 	conv2 := &kernels.Pointwise{H: h2, W: w2, C: cfg.Cmid, K: cfg.Cout, Req: wt.Req2,
 		Weight: im.Part(base, 4), Bias: im.Part(base, 5)}
 
-	in := drawInt8(rng, cfg.H*cfg.W*cfg.Cin)
+	hs := acquireHarness()
+	defer hs.release()
+	in := hs.draw(rng, cfg.H*cfg.W*cfg.Cin)
 	aPl := kernels.PlaceInput(ctx, cfg.Name+".A", in, chain.Offsets[0])
 	dev.ResetPeak()
 	bPl, err := conv1.Run(ctx, p1, aPl)
@@ -98,13 +99,12 @@ func ExecModuleUnfused(profile mcu.Profile, mw *ModuleWeights, rng *rand.Rand) (
 		}
 	}
 
-	want := kernels.GoldenBottleneck(in, cfg.H, cfg.W, cfg.Cin, cfg.Cmid, cfg.Cout,
-		cfg.R, cfg.S, cfg.S1, cfg.S2, cfg.S3, wt, residual)
+	want := hs.goldenModule(0, mw, in, residual)
 	return result(cfg.Name+"-unfused", plan.Plan{
 		SegBytes:       segGran,
 		InBytes:        cfg.H * cfg.W * cfg.Cin,
 		OutBytes:       h2 * w2 * cfg.Cout,
 		FootprintBytes: chain.FootprintBytes,
 		Note:           "unfused chain (per-layer plans, Eq. 2 offsets)",
-	}, dev, slices.Equal(kernels.Extract(ctx, outPl), want)), nil
+	}, dev, hs.verify(ctx, outPl, want)), nil
 }

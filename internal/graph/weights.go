@@ -104,9 +104,11 @@ func drawLayers(rng *rand.Rand, shapes ...[2]int) ([][]int8, [][]int32) {
 // the constant 255 (the stream a seed yields is part of math/rand's
 // compatibility promise), so both divisions become multiplies and a draw
 // costs about half as much.
-func drawInt8(rng *rand.Rand, n int) []int8 {
+func drawInt8(rng *rand.Rand, n int) []int8 { return fillInt8(rng, make([]int8, n)) }
+
+// fillInt8 fills out with drawInt8's stream and returns it.
+func fillInt8(rng *rand.Rand, out []int8) []int8 {
 	const limit = 1<<31 - 1 - (1<<31)%255 // Int31n's rejection bound for 255
-	out := make([]int8, n)
 	for i := range out {
 		v := rng.Int31()
 		for v > limit {

@@ -18,6 +18,7 @@ package intrin
 
 import (
 	"fmt"
+	"unsafe"
 
 	"github.com/vmcu-project/vmcu/internal/mcu"
 	"github.com/vmcu-project/vmcu/internal/seg"
@@ -28,20 +29,20 @@ import (
 type Ctx struct {
 	Dev  *mcu.Device
 	Pool *seg.Pool
-
-	scratch []byte // reusable staging buffer for loads/stores
 }
 
 // NewCtx creates a kernel execution context.
 func NewCtx(dev *mcu.Device, pool *seg.Pool) *Ctx {
-	return &Ctx{Dev: dev, Pool: pool, scratch: make([]byte, 256)}
+	return &Ctx{Dev: dev, Pool: pool}
 }
 
-func (c *Ctx) stage(n int) []byte {
-	if cap(c.scratch) < n {
-		c.scratch = make([]byte, n)
-	}
-	return c.scratch[:n]
+// AsBytes views s as bytes: the same backing array and length, since int8
+// and byte share size and layout, so a write through either slice is
+// visible through the other. It is how int8 activations and weights
+// cross the device's byte API without a copy. The device copies the bytes
+// in or out during the call and never keeps the view. A nil s yields nil.
+func AsBytes(s []int8) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
 // RegAlloc allocates a register-file accumulator array of n int32 lanes
@@ -67,22 +68,14 @@ func (c *Ctx) RegReset(r []int32, v int32) {
 // (element offset elem0 within the tensor) into dst as int8. The access
 // pays the circular boundary check (modulo + branch) plus the RAM traffic.
 func (c *Ctx) RAMLoad(dst []int8, off int, owner mcu.TensorID, elem0 int) {
-	buf := c.stage(len(dst))
-	c.Pool.LoadBytes(off, buf, owner, elem0)
+	c.Pool.LoadBytes(off, AsBytes(dst), owner, elem0)
 	c.Dev.CountBranches(1)
-	for i, b := range buf {
-		dst[i] = int8(b)
-	}
 }
 
 // RAMStore writes src (int8) to logical pool byte offset off, claiming the
 // bytes for tensor owner at element offset elem0.
 func (c *Ctx) RAMStore(off int, src []int8, owner mcu.TensorID, elem0 int) {
-	buf := c.stage(len(src))
-	for i, v := range src {
-		buf[i] = byte(v)
-	}
-	c.Pool.StoreBytes(off, buf, owner, elem0)
+	c.Pool.StoreBytes(off, AsBytes(src), owner, elem0)
 	c.Dev.CountBranches(1)
 }
 
@@ -104,9 +97,7 @@ func (c *Ctx) flashView(op string, ref mcu.FlashRef, off, n int) []byte {
 
 // FlashLoad reads n int8 weights from Flash at ref.Off+off into dst.
 func (c *Ctx) FlashLoad(dst []int8, ref mcu.FlashRef, off int) {
-	for i, b := range c.flashView("flash load", ref, off, len(dst)) {
-		dst[i] = int8(b)
-	}
+	copy(AsBytes(dst), c.flashView("flash load", ref, off, len(dst)))
 }
 
 // FlashView returns the n weight bytes at ref.Off+off in place, charging

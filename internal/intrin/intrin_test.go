@@ -93,7 +93,8 @@ func TestRAMLoadWrapsAroundPool(t *testing.T) {
 		t.Errorf("wrapped data wrong: %v", dst)
 	}
 	// The wrapped tail must physically be at pool offset 0..3.
-	head := c.Pool.ReadRawBytes(0, 4)
+	head := make([]byte, 4)
+	c.Pool.ReadRawBytes(0, head)
 	if head[0] != 5 || head[3] != 8 {
 		t.Errorf("wrapped tail not at pool head: %v", head)
 	}
@@ -422,5 +423,35 @@ func TestSatAddInt8(t *testing.T) {
 	}
 	if got := c.SatAddInt8(3, -5); got != -2 {
 		t.Errorf("SatAdd = %d, want -2", got)
+	}
+}
+
+// TestAsBytesSharesMemory pins the view's contract: the same length and
+// the same memory, so a write through either slice shows through the
+// other, and nil or empty input is safe.
+func TestAsBytesSharesMemory(t *testing.T) {
+	s := []int8{-128, -1, 0, 1, 127}
+	b := AsBytes(s)
+	if len(b) != len(s) || cap(b) != len(s) {
+		t.Fatalf("view len %d cap %d, want %d", len(b), cap(b), len(s))
+	}
+	for i, v := range s {
+		if b[i] != byte(v) {
+			t.Errorf("view[%d] = %#x, want %#x", i, b[i], byte(v))
+		}
+	}
+	b[1] = 0x80
+	s[3] = -2
+	if s[1] != -128 || b[3] != 0xFE {
+		t.Errorf("writes do not show through: s[1]=%d b[3]=%#x", s[1], b[3])
+	}
+	if sub := AsBytes(s[2:4]); len(sub) != 2 || &sub[0] != &b[2] {
+		t.Error("view of a subslice does not alias the parent's bytes")
+	}
+	if v := AsBytes(nil); v != nil {
+		t.Errorf("view of nil = %v, want nil", v)
+	}
+	if v := AsBytes(s[:0]); len(v) != 0 {
+		t.Errorf("view of an empty slice has length %d", len(v))
 	}
 }

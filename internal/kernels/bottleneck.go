@@ -238,23 +238,14 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 	c.FlashLoadInt32(biasD, k.bd, 0)
 	c.FlashLoadInt32(bias2, k.b2, 0)
 
-	// Workspace pixels round-trip through one byte buffer: tagged device
-	// accesses move bytes, the kernel computes on int8. off is the pixel's
-	// byte offset in the workspace, which is also its element index.
-	pixBuf := sc.pixBuf
+	// Workspace pixels cross the device's byte API as views of the
+	// kernel's int8 buffers. off is the pixel's byte offset in the
+	// workspace, which is also its element index.
 	storePix := func(off int, pix []int8) {
-		buf := pixBuf[:len(pix)]
-		for i, v := range pix {
-			buf[i] = byte(v)
-		}
-		c.Dev.WriteTagged(wsBase+off, buf, wsID, off)
+		c.Dev.WriteTagged(wsBase+off, intrin.AsBytes(pix), wsID, off)
 	}
 	loadPix := func(off int, pix []int8) {
-		buf := pixBuf[:len(pix)]
-		c.Dev.ReadTagged(wsBase+off, buf, wsID, off)
-		for i, b := range buf {
-			pix[i] = int8(b)
-		}
+		c.Dev.ReadTagged(wsBase+off, intrin.AsBytes(pix), wsID, off)
 	}
 
 	// computeBPixel evaluates conv1 for one window cell (row r of slot),
@@ -391,7 +382,7 @@ type runScratch struct {
 	aBuf                   []int8
 	bPix, cPix, dPix, ePix []int8
 	biasD, bias2, accD     []int32
-	pixBuf, shiftBuf       []byte
+	shiftBuf               []byte
 }
 
 // colMeta records which window column a workspace slot holds, and from
@@ -412,7 +403,6 @@ func (sc *runScratch) size(cfg plan.Bottleneck) {
 	sc.biasD = resize(sc.biasD, cfg.Cmid)
 	sc.bias2 = resize(sc.bias2, cfg.Cout)
 	sc.accD = resize(sc.accD, cfg.Cmid)
-	sc.pixBuf = resize(sc.pixBuf, max(cfg.Cmid, cfg.Cout))
 	sc.shiftBuf = resize(sc.shiftBuf, cfg.Cmid)
 }
 

@@ -32,23 +32,16 @@ type Placement struct {
 // layer's output, enters a kernel).
 func PlaceInput(c *intrin.Ctx, name string, data []int8, off int) Placement {
 	id := c.Dev.NewTensorID(name)
-	buf := make([]byte, len(data))
-	for i, v := range data {
-		buf[i] = byte(v)
-	}
-	c.Pool.WriteRawBytes(off, buf)
-	c.Pool.ClaimBytes(off, len(buf), id, 0)
-	return Placement{ID: id, Off: off, Bytes: len(buf)}
+	c.Pool.WriteRawBytes(off, intrin.AsBytes(data))
+	c.Pool.ClaimBytes(off, len(data), id, 0)
+	return Placement{ID: id, Off: off, Bytes: len(data)}
 }
 
 // Extract copies a placed tensor's bytes out of the pool as int8 (no
 // traffic charged; harness-side readback).
 func Extract(c *intrin.Ctx, pl Placement) []int8 {
-	raw := c.Pool.ReadRawBytes(pl.Off, pl.Bytes)
-	out := make([]int8, len(raw))
-	for i, b := range raw {
-		out[i] = int8(b)
-	}
+	out := make([]int8, pl.Bytes)
+	c.Pool.ReadRawBytes(pl.Off, intrin.AsBytes(out))
 	return out
 }
 
@@ -77,11 +70,7 @@ func NewFlashImage(ws [][]int8, bs [][]int32) *FlashImage {
 	off := 0
 	for i, w := range ws {
 		im.parts = append(im.parts, mcu.FlashRef{Off: off, Len: len(w)})
-		dst := im.data[off : off+len(w)]
-		for j, v := range w {
-			dst[j] = byte(v)
-		}
-		off += len(w)
+		off += copy(im.data[off:], intrin.AsBytes(w))
 		im.parts = append(im.parts, mcu.FlashRef{Off: off, Len: 4 * len(bs[i])})
 		for _, v := range bs[i] {
 			binary.LittleEndian.PutUint32(im.data[off:], uint32(v))
@@ -107,11 +96,7 @@ func (im *FlashImage) Part(base mcu.FlashRef, i int) mcu.FlashRef {
 
 // PackInt8 stores int8 weights into Flash.
 func PackInt8(dev *mcu.Device, data []int8) (mcu.FlashRef, error) {
-	buf := make([]byte, len(data))
-	for i, v := range data {
-		buf[i] = byte(v)
-	}
-	return dev.FlashAlloc(buf)
+	return dev.FlashAlloc(intrin.AsBytes(data))
 }
 
 // PackInt32 stores little-endian int32 values (bias vectors) into Flash.

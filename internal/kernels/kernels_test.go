@@ -460,45 +460,6 @@ func TestBottleneckComputeNearIdealMACs(t *testing.T) {
 	}
 }
 
-// TestBottleneckAllocationsPerRun pins the fused kernel's host
-// allocations to a fixed set-up per run. Accumulators are reset per pixel,
-// workspace pixels round-trip through one buffer, and every buffer and
-// the conv1 memo come from a pooled scratch, so nothing in the pixel
-// loops allocates and the bound holds at any plane size. It leaves room
-// for a run to build its scratch afresh (about 20 allocations), as one
-// does whenever the pool is empty: after a GC, or when the race detector
-// drops a pooled item.
-func TestBottleneckAllocationsPerRun(t *testing.T) {
-	const limit = 32
-	for _, hw := range []int{12, 24} {
-		cfg := plan.Bottleneck{Name: "t-alloc", H: hw, W: hw, Cin: 8, Cmid: 16, Cout: 4,
-			R: 3, S: 3, S1: 1, S2: 1, S3: 1}
-		rng := rand.New(rand.NewSource(31))
-		p := plan.PlanBottleneckModule(cfg)
-		c, capBytes := newRig(t, p, 2)
-		kn, err := NewBottleneck(c.Dev, cfg, randomWeights(rng, cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := randInt8(rng, cfg.H*cfg.W*cfg.Cin)
-		allocs := testing.AllocsPerRun(4, func() {
-			out, err := kn.Run(c, p, PlaceInput(c, "A", in, p.GapBytes()), capBytes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			FreeAll(c, out)
-		})
-		if err := c.Dev.CheckFaults(); err != nil {
-			t.Fatal(err)
-		}
-		if allocs > limit {
-			_, _, _, _, h3, w3 := cfg.Grids()
-			t.Errorf("%dx%d: bottleneck run allocates %.0f times, want at most %d (%d output pixels)",
-				hw, hw, allocs, limit, h3*w3)
-		}
-	}
-}
-
 func TestAvgPoolMatchesGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, cse := range []struct{ h, w, c int }{{4, 4, 8}, {7, 7, 16}, {3, 5, 24}} {

@@ -79,12 +79,10 @@ func (p *Pool) WriteRawBytes(off int, data []byte) {
 	})
 }
 
-// ReadRawBytes extracts n bytes at logical byte offset without tag checks
-// or traffic (result extraction helper).
-func (p *Pool) ReadRawBytes(off, n int) []byte {
-	out := make([]byte, n)
-	p.splitRun(off, n, func(addr, co, cl int) {
-		p.dev.ReadRaw(addr, out[co:co+cl])
+// ReadRawBytes copies the len(dst) bytes at logical byte offset off into
+// dst without tag checks or traffic (result extraction helper).
+func (p *Pool) ReadRawBytes(off int, dst []byte) {
+	p.splitRun(off, len(dst), func(addr, co, cl int) {
+		p.dev.ReadRaw(addr, dst[co:co+cl])
 	})
-	return out
 }

@@ -35,7 +35,8 @@ func TestByteAccessWrapsAtPoolEnd(t *testing.T) {
 	if dst[3] != 6 {
 		t.Fatalf("wrapped load wrong: %v", dst)
 	}
-	head := p.ReadRawBytes(0, 2)
+	head := make([]byte, 2)
+	p.ReadRawBytes(0, head)
 	if head[0] != 7 || head[1] != 6 {
 		t.Fatalf("wrapped tail not at pool head: %v", head)
 	}
@@ -88,7 +89,7 @@ func TestBytePanicsBeyondCapacity(t *testing.T) {
 			t.Error("expected panic on access larger than the pool")
 		}
 	}()
-	p.ReadRawBytes(0, 65)
+	p.ReadRawBytes(0, make([]byte, 65))
 }
 
 func TestByteAccessChargesOneModuloPerOp(t *testing.T) {

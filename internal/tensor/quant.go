@@ -79,14 +79,3 @@ func roundingRightShift(v int32, n int) int32 {
 func SaturateInt8(v int32) int8 {
 	return int8(min(max(v, -128), 127))
 }
-
-// SaturateInt16 clamps v to the int16 range (SSAT #16).
-func SaturateInt16(v int32) int16 {
-	if v > math.MaxInt16 {
-		return math.MaxInt16
-	}
-	if v < math.MinInt16 {
-		return math.MinInt16
-	}
-	return int16(v)
-}

@@ -76,15 +76,6 @@ func TestSaturateInt8(t *testing.T) {
 	}
 }
 
-func TestSaturateInt16(t *testing.T) {
-	if SaturateInt16(1<<20) != math.MaxInt16 || SaturateInt16(-(1<<20)) != math.MinInt16 {
-		t.Error("SaturateInt16 does not clamp")
-	}
-	if SaturateInt16(-42) != -42 {
-		t.Error("SaturateInt16 mangles in-range values")
-	}
-}
-
 func TestRoundingRightShift(t *testing.T) {
 	cases := []struct {
 		v    int32
