@@ -1,7 +1,7 @@
 //go:build !race
 
-// The race detector makes sync.Pool drop items at random, so under -race
-// the executors build devices afresh and these bounds do not hold.
+// Allocation bounds are checked without the race detector, which drops
+// sync.Pool items at random; the tier-1 test step runs them.
 
 package vmcu
 
@@ -37,10 +37,9 @@ func TestRunVerifiedImageNetAllocBound(t *testing.T) {
 // run. Units reach pooled harnesses in whatever order the run's workers
 // take them, so a run can still grow a harness that has served only
 // smaller units; the least run is one that grew none. The collector is
-// off for the measured runs: a collection empties the sync.Pools, and the
-// devices and buffers rebuilt after it would measure the collector's
-// timing, not the run. GOMAXPROCS is pinned to 2, because netplan.Run
-// starts one worker, with its own input source, per core.
+// off for the measured runs, so no collection's timing enters them.
+// GOMAXPROCS is pinned to 2, because netplan.Run starts one worker, with
+// its own input source, per core.
 func testVerifiedRunAllocBound(t *testing.T, net Network, bound uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	prof := mcu.CortexM4()

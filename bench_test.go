@@ -154,7 +154,7 @@ func BenchmarkILPBranchBound(b *testing.B) {
 // load/store path, including the modulo boundary check.
 func BenchmarkSegmentPoolAccess(b *testing.B) {
 	dev := mcu.New(mcu.CortexM4(), 0)
-	pool, err := seg.NewPool(dev, 0, 4096, 16)
+	pool, err := seg.NewPool(dev, 0, 4096)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func BenchmarkSegmentPoolAccess(b *testing.B) {
 // int32 dot product plus its closed-form MAC/ALU charge.
 func BenchmarkDotIntrinsic(b *testing.B) {
 	dev := mcu.New(mcu.CortexM4(), 0)
-	pool, _ := seg.NewPool(dev, 0, 64, 16)
+	pool, _ := seg.NewPool(dev, 0, 64)
 	ctx := intrin.NewCtx(dev, pool)
 	x := make([]int8, 64)
 	y := make([]int8, 64)

@@ -29,8 +29,8 @@ func main() {
 
 	// 1. Interpret the IR against the simulated MCU.
 	dev := mcu.New(mcu.CortexM4(), 1<<16)
-	capBytes := (p.FootprintBytes + p.SegBytes - 1) / p.SegBytes * p.SegBytes
-	pool, err := seg.NewPool(dev, 0, capBytes, p.SegBytes)
+	capBytes := p.PoolBytes()
+	pool, err := seg.NewPool(dev, 0, capBytes)
 	if err != nil {
 		log.Fatal(err)
 	}

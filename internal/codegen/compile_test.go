@@ -143,7 +143,7 @@ int main(void) {
 func simulateFC(t *testing.T, prog *ir.Program, p plan.Plan, capBytes, outOff int, in, w []int8, bias []int32, outBytes int) []int8 {
 	t.Helper()
 	dev := mcu.New(mcu.CortexM4(), len(w)+4*len(bias))
-	pool, err := seg.NewPool(dev, 0, capBytes, p.SegBytes)
+	pool, err := seg.NewPool(dev, 0, capBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

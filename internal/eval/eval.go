@@ -133,13 +133,11 @@ func PointwiseMemoryProfile(profile mcu.Profile, c PointwiseCase, seed int64, tr
 
 func runVMCUPointwise(profile mcu.Profile, c PointwiseCase, seed int64, traceEvery int) (mcu.Stats, bool, int, []int, error) {
 	p := plan.Pointwise(c.HW, c.HW, c.C, c.K)
-	segsz := p.SegBytes
-	poolBytes := (p.FootprintBytes + segsz - 1) / segsz * segsz
 	dev := mcu.New(profile, c.K*c.C+4*c.K+64)
 	if traceEvery > 0 {
 		dev.EnableTrace(traceEvery)
 	}
-	pool, err := seg.NewPool(dev, 0, poolBytes, segsz)
+	pool, err := seg.NewPool(dev, 0, p.PoolBytes())
 	if err != nil {
 		return mcu.Stats{}, false, 0, nil, err
 	}

@@ -3,10 +3,11 @@ package graph
 import (
 	"sync"
 
+	"github.com/vmcu-project/vmcu/internal/freelist"
 	"github.com/vmcu-project/vmcu/internal/mcu"
 )
 
-// devicePools holds idle simulated devices, one *sync.Pool per RAM size
+// devicePools holds idle simulated devices, one *freelist.List per RAM size
 // in bytes. A device's RAM and shadow arrays are most of its memory, and
 // every executor run needs them at full profile size, so runs hand the
 // arrays on instead of rebuilding them.
@@ -17,7 +18,7 @@ var devicePools sync.Map
 // the pool for p's RAM size is empty. Pair it with releaseDevice once
 // nothing reads the device any more.
 func acquireDevice(p mcu.Profile, flashBytes int) *mcu.Device {
-	if d, ok := devicePool(p.RAMBytes()).Get().(*mcu.Device); ok {
+	if d, ok := devicePool(p.RAMBytes()).Get(); ok {
 		d.Reset(p, flashBytes)
 		return d
 	}
@@ -27,10 +28,10 @@ func acquireDevice(p mcu.Profile, flashBytes int) *mcu.Device {
 // releaseDevice returns d to the pool for its RAM size.
 func releaseDevice(d *mcu.Device) { devicePool(d.RAMSize()).Put(d) }
 
-func devicePool(ramBytes int) *sync.Pool {
+func devicePool(ramBytes int) *freelist.List[*mcu.Device] {
 	if pl, ok := devicePools.Load(ramBytes); ok {
-		return pl.(*sync.Pool)
+		return pl.(*freelist.List[*mcu.Device])
 	}
-	pl, _ := devicePools.LoadOrStore(ramBytes, new(sync.Pool))
-	return pl.(*sync.Pool)
+	pl, _ := devicePools.LoadOrStore(ramBytes, new(freelist.List[*mcu.Device]))
+	return pl.(*freelist.List[*mcu.Device])
 }

@@ -8,14 +8,10 @@ package graph
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/vmcu-project/vmcu/internal/baseline"
-	"github.com/vmcu-project/vmcu/internal/intrin"
-	"github.com/vmcu-project/vmcu/internal/kernels"
 	"github.com/vmcu-project/vmcu/internal/mcu"
 	"github.com/vmcu-project/vmcu/internal/plan"
-	"github.com/vmcu-project/vmcu/internal/seg"
 )
 
 // Network is a named stack of inverted-bottleneck modules.
@@ -135,79 +131,6 @@ type ExecResult struct {
 	PeakBytes  int
 	Violations int
 	OutputOK   bool
-}
-
-// RunModule plans and executes one module on a pooled device reset to
-// New's state, with deterministic random weights and input, verifying the
-// fused kernel's output against the golden composition.
-func RunModule(profile mcu.Profile, cfg plan.Bottleneck, seed int64) (ExecResult, error) {
-	return RunModuleWithPlan(profile, cfg, plan.PlanBottleneckModule(cfg), seed)
-}
-
-// RunModuleWithPlan is ExecModule with the module's weights and then its
-// input drawn from one stream seeded by seed.
-func RunModuleWithPlan(profile mcu.Profile, cfg plan.Bottleneck, p plan.Plan, seed int64) (ExecResult, error) {
-	rng := rand.New(rand.NewSource(seed))
-	mw, err := drawModule(rng, cfg)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	return ExecModule(profile, mw, p, rng)
-}
-
-// ExecModule executes one module with weights mw on a pooled device reset
-// to New's state under an explicit memory plan — the minimal solved plan,
-// or a scheduler-chosen variant such as the disjoint baseline placement
-// (netplan.PolicyBaseline). It loads mw's prebuilt Flash image, draws the
-// input from rng, and verifies the fused kernel's output against the
-// golden composition. The plan's gap may exceed the solved minimum (wider
-// separations are strictly safer) but the shadow-state checker still
-// proves no live segment is clobbered.
-func ExecModule(profile mcu.Profile, mw *ModuleWeights, p plan.Plan, rng *rand.Rand) (ExecResult, error) {
-	cfg := mw.Cfg
-	poolBytes := p.PoolBytes()
-	if need := poolBytes + p.WorkspaceBytes; need > profile.RAMBytes() {
-		// Report the quantity actually checked: the segment-rounded pool
-		// plus workspace, which can exceed p.FootprintBytes by up to
-		// SegBytes-1 when the activation span is not segment-aligned.
-		return ExecResult{}, fmt.Errorf("graph: module %s needs %d bytes (pool %d + workspace %d), device has %d",
-			cfg.Name, need, poolBytes, p.WorkspaceBytes, profile.RAMBytes())
-	}
-	dev := acquireDevice(profile, mw.Image.Bytes()+flashSlack)
-	defer releaseDevice(dev)
-	pool, err := seg.NewPool(dev, 0, poolBytes, p.SegBytes)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	ctx := intrin.NewCtx(dev, pool)
-	kn, err := kernels.LoadBottleneck(dev, cfg, mw.BottleneckWeights, mw.Image)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	hs := acquireHarness()
-	defer hs.release()
-	in := hs.draw(rng, cfg.H*cfg.W*cfg.Cin)
-	inPl := kernels.PlaceInput(ctx, cfg.Name+".A", in, p.GapBytes())
-	dev.ResetPeak()
-	out, err := kn.Run(ctx, p, inPl, poolBytes)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	want := hs.goldenModule(0, mw, in, cfg.Residual())
-	return result(cfg.Name, p, dev, hs.verify(ctx, out, want)), nil
-}
-
-// result reports a finished unit run on dev.
-func result(name string, p plan.Plan, dev *mcu.Device, outputOK bool) ExecResult {
-	_, nViol := dev.Violations()
-	return ExecResult{
-		Name:       name,
-		Plan:       p,
-		Stats:      dev.Stats,
-		PeakBytes:  dev.PeakBytes(),
-		Violations: nViol,
-		OutputOK:   outputOK,
-	}
 }
 
 // Run executes every module of the network under the profile.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/vmcu-project/vmcu/internal/mcu"
@@ -95,3 +96,37 @@ func TestExecutorsVerifyEveryRun(t *testing.T) {
 }
 
 func seeded(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// TestRunPlacesPoolAtItsBase checks that the harness builds the unit's
+// pool where it is told: after a fused module runs in a pool at RAM
+// address base, no byte below base was written, and the output (at pool
+// offset 0) sits at base.
+func TestRunPlacesPoolAtItsBase(t *testing.T) {
+	prof := mcu.CortexM4()
+	cfg := plan.Bottleneck{Name: "R", H: 10, W: 10, Cin: 8, Cmid: 24, Cout: 8, R: 3, S: 3, S1: 1, S2: 1, S3: 1}
+	mw, err := drawModule(seeded(1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := plan.PlanBottleneckModule(cfg)
+	const base = 1000
+	r, err := execModule(prof, mw, p, seeded(2), poolAt{base, 3 * p.PoolBytes()})
+	if err != nil || !r.OutputOK || r.Violations != 0 {
+		t.Fatalf("verified=%v violations=%d err=%v", r.OutputOK, r.Violations, err)
+	}
+	dev, ok := devicePool(prof.RAMBytes()).Get() // the device the run released
+	if !ok {
+		t.Fatal("no pooled device after the run")
+	}
+	defer releaseDevice(dev)
+	below := make([]byte, base)
+	dev.ReadRaw(0, below)
+	if !slices.Equal(below, make([]byte, base)) {
+		t.Errorf("the run wrote RAM below its pool's base %d", base)
+	}
+	out := make([]byte, r.Plan.OutBytes)
+	dev.ReadRaw(base, out)
+	if slices.Equal(out, make([]byte, len(out))) {
+		t.Errorf("no output at the pool's base %d", base)
+	}
+}

@@ -1,15 +1,23 @@
 //go:build !race
 
-// The race detector makes sync.Pool drop items at random, so under -race
-// the pooled device is not the one reused and this bound does not hold.
+// Allocation bounds are checked without the race detector, which drops
+// sync.Pool items at random; the tier-1 test step runs them.
 
 package graph
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/vmcu-project/vmcu/internal/kernels"
 	"github.com/vmcu-project/vmcu/internal/mcu"
+	"github.com/vmcu-project/vmcu/internal/plan"
+)
+
+// The warm per-unit allocation counts TestWarmUnitAllocations allows.
+const (
+	warmModuleAllocs = 4
+	warmSeamAllocs   = 6
 )
 
 // TestFlashLoadAllocatesNothing guards the verified path's Flash load:
@@ -43,6 +51,52 @@ func TestFlashLoadAllocatesNothing(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%s: loading a %d-byte image allocated %.0f times, want 0", net.Name, im.Bytes(), allocs)
 			}
+		}
+	}
+}
+
+// TestWarmUnitAllocations bounds what a warm per-unit run allocates on the
+// host, for the fused module and the seam: with the device and harness
+// pools warm, what is left is the kernel struct, the tensor-name strings
+// and the pool and context the harness builds. A closure or interface of
+// the unit harness that escaped to the heap would add to it on every
+// unit, which a verified request pays 13 times on VWW. The bounds are the
+// counts measured when the harness was introduced.
+func TestWarmUnitAllocations(t *testing.T) {
+	prof := mcu.CortexM4()
+	w, err := DrawWeights(VWW(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mw := w.Modules[4] // S5
+	var sw *SeamWeights
+	for _, s := range w.Seams {
+		if s != nil {
+			sw = s
+			break
+		}
+	}
+	p := plan.PlanBottleneckModule(mw.Cfg)
+	sp := plan.PlanSeam(sw.Spec)
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		name  string
+		bound float64
+		run   func() (ExecResult, error)
+	}{
+		{"module", warmModuleAllocs, func() (ExecResult, error) { return ExecModule(prof, mw, p, rng) }},
+		{"seam", warmSeamAllocs, func() (ExecResult, error) { return ExecSeam(prof, sw, sp, rng) }},
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			r, err := c.run()
+			if err != nil || !r.OutputOK || r.Violations != 0 {
+				t.Fatalf("%s: verified=%v violations=%d err=%v", c.name, r.OutputOK, r.Violations, err)
+			}
+		})
+		if allocs > c.bound {
+			t.Errorf("a warm %s run allocates %.0f times, want at most %.0f", c.name, allocs, c.bound)
+		} else {
+			t.Logf("a warm %s run allocates %.0f times", c.name, allocs)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 func newCtx(t *testing.T) *Ctx {
 	t.Helper()
 	dev := mcu.New(mcu.CortexM4(), 1<<16)
-	pool, err := seg.NewPool(dev, 0, 4096, 16)
+	pool, err := seg.NewPool(dev, 0, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,9 +95,7 @@ func TestInterpretedFCMatchesHandKernel(t *testing.T) {
 
 		run := func(useIR bool) ([]int8, mcu.Stats, error) {
 			dev := mcu.New(mcu.CortexM4(), 1<<16)
-			segsz := p.SegBytes
-			capBytes := (p.FootprintBytes + segsz - 1) / segsz * segsz
-			pool, err := seg.NewPool(dev, 0, capBytes, segsz)
+			pool, err := seg.NewPool(dev, 0, p.PoolBytes())
 			if err != nil {
 				return nil, mcu.Stats{}, err
 			}
@@ -172,7 +170,7 @@ func TestInterpretedFCMatchesHandKernel(t *testing.T) {
 func TestRunRejectsUnboundNames(t *testing.T) {
 	prog := BuildFC(2, 8, 8, 8, tensor.NewRequant(0.5, 0))
 	dev := mcu.New(mcu.CortexM4(), 1<<12)
-	pool, _ := seg.NewPool(dev, 0, 256, 8)
+	pool, _ := seg.NewPool(dev, 0, 256)
 	ctx := intrin.NewCtx(dev, pool)
 	if err := Run(prog, ctx, Bindings{}); err == nil {
 		t.Error("unbound tensors accepted")
@@ -186,7 +184,7 @@ func TestRunRejectsUnboundNames(t *testing.T) {
 
 func TestInterpreterErrorsOnBadProgram(t *testing.T) {
 	dev := mcu.New(mcu.CortexM4(), 1<<12)
-	pool, _ := seg.NewPool(dev, 0, 256, 8)
+	pool, _ := seg.NewPool(dev, 0, 256)
 	ctx := intrin.NewCtx(dev, pool)
 	id := dev.NewTensorID("t")
 	bind := Bindings{Tensors: map[string]TensorBinding{"T": {ID: id}}}

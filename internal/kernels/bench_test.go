@@ -12,7 +12,7 @@ import (
 // slices, so it allocates its intermediate and output tensors on every op;
 // the verifiers reuse a GoldenScratch instead.
 func BenchmarkGoldenBottleneck(b *testing.B) {
-	r, err := newFusedRig(graph.ImageNet().Modules[3], 16, 16, 1)
+	r, err := newFusedRig(graph.ImageNet().Modules[3], 16, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package kernels
 
 import (
 	"fmt"
-	"sync"
 
+	"github.com/vmcu-project/vmcu/internal/freelist"
 	"github.com/vmcu-project/vmcu/internal/intrin"
 	"github.com/vmcu-project/vmcu/internal/mcu"
 	"github.com/vmcu-project/vmcu/internal/plan"
@@ -204,7 +204,10 @@ func (k *Bottleneck) runCore(c *intrin.Ctx, in, out Placement, wsBase int, span 
 
 	c.Dev.CountCalls(1)
 
-	sc := scratchPool.Get().(*runScratch)
+	sc, ok := scratchPool.Get()
+	if !ok {
+		sc = new(runScratch)
+	}
 	defer sc.release()
 	sc.size(cfg)
 
@@ -389,7 +392,7 @@ type runScratch struct {
 // which base row.
 type colMeta struct{ bw, bh0 int }
 
-var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+var scratchPool freelist.List[*runScratch]
 
 // size reslices every buffer for cfg, reallocating only the short ones.
 func (sc *runScratch) size(cfg plan.Bottleneck) {

@@ -22,7 +22,7 @@ func newRig(t *testing.T, p plan.Plan, extraSegs int) (*intrin.Ctx, int) {
 	if capBytes+p.WorkspaceBytes > dev.RAMSize() {
 		t.Fatalf("test rig too large: %d bytes", capBytes)
 	}
-	pool, err := seg.NewPool(dev, 0, capBytes, segsz)
+	pool, err := seg.NewPool(dev, 0, capBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestDepthwiseMatchesGolden(t *testing.T) {
 func TestAddMatchesGoldenAndIsInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	dev := mcu.New(mcu.CortexM4(), 1<<16)
-	pool, err := seg.NewPool(dev, 0, 1024, 64)
+	pool, err := seg.NewPool(dev, 0, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestBottleneckWeightValidation(t *testing.T) {
 
 func TestPlaceExtractRoundTrip(t *testing.T) {
 	dev := mcu.New(mcu.CortexM4(), 1<<16)
-	pool, _ := seg.NewPool(dev, 0, 256, 16)
+	pool, _ := seg.NewPool(dev, 0, 256)
 	c := intrin.NewCtx(dev, pool)
 	data := []int8{1, -2, 3, -4, 5}
 	pl := PlaceInput(c, "x", data, 48)
@@ -457,76 +457,5 @@ func TestBottleneckComputeNearIdealMACs(t *testing.T) {
 	}
 	if got < ideal {
 		t.Errorf("fused MACs %.0f below ideal %.0f (missing work?)", got, ideal)
-	}
-}
-
-func TestAvgPoolMatchesGolden(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, cse := range []struct{ h, w, c int }{{4, 4, 8}, {7, 7, 16}, {3, 5, 24}} {
-		ap := &AvgPool{H: cse.h, W: cse.w, C: cse.c}
-		p := ap.Plan()
-		c, _ := newRig(t, p, 1)
-		in := randInt8(rng, cse.h*cse.w*cse.c)
-		inPl := PlaceInput(c, "in", in, p.GapBytes())
-		out, err := ap.Run(c, p, inPl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Dev.CheckFaults(); err != nil {
-			t.Fatalf("avgpool %+v: %v", cse, err)
-		}
-		got := Extract(c, out)
-		want := GoldenAvgPool(in, cse.h, cse.w, cse.c)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("avgpool %+v: out[%d] = %d, want %d", cse, i, got[i], want[i])
-			}
-		}
-		if c.Dev.LiveBytes() != cse.c {
-			t.Errorf("avgpool live bytes = %d, want %d (only the pooled vector)", c.Dev.LiveBytes(), cse.c)
-		}
-	}
-}
-
-func TestAvgPoolThenFCHead(t *testing.T) {
-	// The MCUNet classification head: global avgpool into a tiny FC.
-	rng := rand.New(rand.NewSource(33))
-	const h, w, c, classes = 5, 5, 16, 8
-	ap := &AvgPool{H: h, W: w, C: c}
-	pAp := ap.Plan()
-	pFC := plan.FC(1, c, classes)
-	chain, err := plan.PlanChain([]plan.Plan{pAp, pFC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := mcu.New(mcu.CortexM4(), 1<<16)
-	capBytes := (chain.FootprintBytes + 7) / 8 * 8
-	pool, err := seg.NewPool(dev, 0, capBytes, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := intrin.NewCtx(dev, pool)
-	in := randInt8(rng, h*w*c)
-	wts := randInt8(rng, classes*c)
-	wRef, _ := PackInt8(dev, wts)
-	fc := &FC{M: 1, K: c, N: classes, Weight: wRef, Req: req(0.05)}
-	inPl := PlaceInput(ctx, "act", in, chain.Offsets[0])
-	pooled, err := ap.Run(ctx, pAp, inPl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logits, err := fc.Run(ctx, pFC, pooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.CheckFaults(); err != nil {
-		t.Fatal(err)
-	}
-	got := Extract(ctx, logits)
-	want := GoldenFC(GoldenAvgPool(in, h, w, c), 1, c, classes, wts, nil, req(0.05))
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("head out[%d] = %d, want %d", i, got[i], want[i])
-		}
 	}
 }

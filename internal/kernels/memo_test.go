@@ -19,8 +19,8 @@ import (
 )
 
 // fusedRig is one fused module with seeded weights and input on a fresh
-// Cortex-M7 device: a circular pool of poolBytes in segSize segments at
-// address 0, and the module workspace right after it.
+// Cortex-M7 device: a circular pool of poolBytes at address 0, and the
+// module workspace right after it.
 type fusedRig struct {
 	cfg    plan.Bottleneck
 	c      *intrin.Ctx
@@ -30,12 +30,12 @@ type fusedRig struct {
 	wsBase int
 }
 
-func newFusedRig(cfg plan.Bottleneck, poolBytes, segSize int, seed int64) (*fusedRig, error) {
+func newFusedRig(cfg plan.Bottleneck, poolBytes int, seed int64) (*fusedRig, error) {
 	dev := mcu.New(mcu.CortexM7(), cfg.Cmid*cfg.Cin+cfg.R*cfg.S*cfg.Cmid+cfg.Cout*cfg.Cmid+4*(2*cfg.Cmid+cfg.Cout))
 	if poolBytes+cfg.WorkspaceBytes() > dev.RAMSize() {
 		return nil, fmt.Errorf("%s: rig of %d bytes exceeds RAM", cfg.Name, poolBytes+cfg.WorkspaceBytes())
 	}
-	pool, err := seg.NewPool(dev, 0, poolBytes, segSize)
+	pool, err := seg.NewPool(dev, 0, poolBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -72,8 +72,7 @@ func newFusedRig(cfg plan.Bottleneck, poolBytes, segSize int, seed int64) (*fuse
 // fused plan: its footprint less the workspace, rounded up to segments.
 func newPlannedRig(cfg plan.Bottleneck, seed int64) (*fusedRig, plan.Plan, error) {
 	p := plan.PlanBottleneckModule(cfg)
-	poolBytes := (p.FootprintBytes - p.WorkspaceBytes + p.SegBytes - 1) / p.SegBytes * p.SegBytes
-	r, err := newFusedRig(cfg, poolBytes, p.SegBytes, seed)
+	r, err := newFusedRig(cfg, p.PoolBytes(), seed)
 	return r, p, err
 }
 
@@ -136,7 +135,7 @@ func TestConv1MemoComputesEachBPixelOnce(t *testing.T) {
 
 	t.Run("changed A pixel is recomputed", func(t *testing.T) {
 		cfg := graph.VWW().Modules[0]
-		r, err := newFusedRig(cfg, cfg.H*cfg.W*cfg.Cin, 16, 5)
+		r, err := newFusedRig(cfg, cfg.H*cfg.W*cfg.Cin, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +271,7 @@ func runPatchWindow(t *testing.T, cfg plan.Bottleneck, windowRows int) (*fusedRi
 	if windowRows > 0 {
 		outOff = windowRows * inRow
 	}
-	r, err := newFusedRig(cfg, outOff+max(outBytes, need.Len()*inRow), 4, 17)
+	r, err := newFusedRig(cfg, outOff+max(outBytes, need.Len()*inRow), 17)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func patchRig(t *testing.T, poolBytes, wsBytes int) (*intrin.Ctx, int) {
 	t.Helper()
 	capBytes := (poolBytes + 3) / 4 * 4
 	dev := mcu.New(mcu.CortexM4(), 1<<22)
-	pool, err := seg.NewPool(dev, 0, capBytes, 4)
+	pool, err := seg.NewPool(dev, 0, capBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,7 +255,7 @@ func TestGoldenAddSatClampsBothRails(t *testing.T) {
 // exact on the asymmetric extreme: (−128)·(−128) pairs in every lane.
 func TestDotVecHandlesMinInt8(t *testing.T) {
 	dev := mcu.New(mcu.CortexM4(), 0)
-	pool, err := seg.NewPool(dev, 0, 64, 16)
+	pool, err := seg.NewPool(dev, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

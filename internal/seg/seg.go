@@ -1,10 +1,14 @@
-// Package seg implements the paper's segment-level memory pool (§4):
-// RAM virtualized as a circular buffer Pool[MemCap/Seg] of fixed-size
-// segments, addressed modulo the pool length. Kernels manipulate tensors
-// through segment-granular pointers; the pool performs the boundary check
-// ("addr = addr % (MemCap/Seg)") and charges the modulo operation to the
-// device's cycle model, which is exactly the latency cost the paper's
-// segment-size selection rule (§5.3) trades against footprint.
+// Package seg implements the paper's circular memory pool (§4): a window
+// of device RAM virtualized as one circular buffer, addressed by logical
+// byte offset modulo the pool length. Every access pays one modulo
+// operation ("addr = addr % MemCap"), charged to the device's cycle model;
+// that is the latency cost the paper's segment-size selection rule (§5.3)
+// trades against footprint.
+//
+// Segments are a planner concept: each kernel's plan divides the pool
+// into its own segment size (plan.Plan.SegBytes) and expresses gaps in
+// them, but the pool itself is byte-granular. So one pool can host units
+// whose segment sizes differ and need not divide its capacity.
 package seg
 
 import (
@@ -13,164 +17,88 @@ import (
 	"github.com/vmcu-project/vmcu/internal/mcu"
 )
 
-// Pool is a circular buffer of segments carved out of device RAM.
+// Pool is a circular buffer carved out of device RAM.
 type Pool struct {
-	dev     *mcu.Device
-	base    int // RAM address of segment 0
-	segSize int // bytes per segment
-	nSegs   int
+	dev      *mcu.Device
+	base     int // RAM address of logical byte 0
+	capBytes int
 }
 
-// NewPool carves a circular segment pool out of [base, base+capBytes) of
-// device RAM. capBytes must be a positive multiple of segSize.
-func NewPool(dev *mcu.Device, base, capBytes, segSize int) (*Pool, error) {
-	if segSize <= 0 {
-		return nil, fmt.Errorf("seg: segment size %d must be positive", segSize)
-	}
-	if capBytes <= 0 || capBytes%segSize != 0 {
-		return nil, fmt.Errorf("seg: capacity %d must be a positive multiple of segment size %d", capBytes, segSize)
+// NewPool carves a circular pool out of [base, base+capBytes) of device
+// RAM. capBytes must be positive and the window must lie inside RAM.
+func NewPool(dev *mcu.Device, base, capBytes int) (*Pool, error) {
+	if capBytes <= 0 {
+		return nil, fmt.Errorf("seg: capacity %d must be positive", capBytes)
 	}
 	if base < 0 || base+capBytes > dev.RAMSize() {
 		return nil, fmt.Errorf("seg: pool [%d,%d) exceeds RAM size %d", base, base+capBytes, dev.RAMSize())
 	}
-	return &Pool{dev: dev, base: base, segSize: segSize, nSegs: capBytes / segSize}, nil
+	return &Pool{dev: dev, base: base, capBytes: capBytes}, nil
 }
 
-// SegSize returns the segment size in bytes.
-func (p *Pool) SegSize() int { return p.segSize }
-
-// NumSegs returns the number of segments in the pool.
-func (p *Pool) NumSegs() int { return p.nSegs }
-
-// CapBytes returns the pool capacity in bytes.
-func (p *Pool) CapBytes() int { return p.nSegs * p.segSize }
-
-// Device returns the underlying device.
-func (p *Pool) Device() *mcu.Device { return p.dev }
-
-// wrap maps a logical segment index into [0, nSegs), counting the modulo
-// operation that real kernels pay for circular addressing.
-func (p *Pool) wrap(seg int) int {
+// splitRun invokes fn over the at-most-two physical runs covering the
+// logical byte range [off, off+n), charging one modulo operation for
+// mapping off into [0, capBytes).
+func (p *Pool) splitRun(off, n int, fn func(physAddr, chunkOff, chunkLen int)) {
+	if n > p.capBytes {
+		panic(fmt.Sprintf("seg: byte access of %d exceeds pool capacity %d", n, p.capBytes))
+	}
 	p.dev.CountDivMod(1)
-	m := seg % p.nSegs
-	if m < 0 {
-		m += p.nSegs
+	start := off % p.capBytes
+	if start < 0 {
+		start += p.capBytes
 	}
-	return m
-}
-
-// Addr resolves a logical segment index to a RAM byte address.
-func (p *Pool) Addr(seg int) int {
-	return p.base + p.wrap(seg)*p.segSize
-}
-
-// Load reads len(dst) bytes from the start of logical segment seg into dst,
-// asserting via the shadow state that the bytes still belong to tensor
-// owner at element offset elem0. len(dst) must not exceed the segment size.
-func (p *Pool) Load(seg int, dst []byte, owner mcu.TensorID, elem0 int) {
-	if len(dst) > p.segSize {
-		panic(fmt.Sprintf("seg: load of %d bytes exceeds segment size %d", len(dst), p.segSize))
-	}
-	p.dev.ReadTagged(p.Addr(seg), dst, owner, elem0)
-}
-
-// Store writes src at the start of logical segment seg, claiming the bytes
-// for tensor owner at element offset elem0. Overwriting another tensor's
-// bytes is legal; that tensor's later reads will be flagged.
-func (p *Pool) Store(seg int, src []byte, owner mcu.TensorID, elem0 int) {
-	if len(src) > p.segSize {
-		panic(fmt.Sprintf("seg: store of %d bytes exceeds segment size %d", len(src), p.segSize))
-	}
-	p.dev.WriteTagged(p.Addr(seg), src, owner, elem0)
-}
-
-// Free releases n bytes at the start of logical segment seg owned by owner.
-func (p *Pool) Free(seg, n int, owner mcu.TensorID) {
-	if n > p.segSize {
-		panic(fmt.Sprintf("seg: free of %d bytes exceeds segment size %d", n, p.segSize))
-	}
-	p.dev.FreeTagged(p.Addr(seg), n, owner)
-}
-
-// Claim tags nBytes starting at logical segment seg as owned by owner with
-// element indices from elem0, without traffic. Used to place a tensor that
-// is already materialized (e.g. the network input, or the previous layer's
-// output) into the pool's address space. nBytes may span many segments; the
-// range must not wrap past the pool end more than once.
-func (p *Pool) Claim(seg, nBytes int, owner mcu.TensorID, elem0 int) {
-	off := 0
-	for off < nBytes {
-		n := p.segSize
-		if nBytes-off < n {
-			n = nBytes - off
-		}
-		p.dev.ClaimRegion(p.Addr(seg), n, owner, elem0+off)
-		seg++
-		off += n
+	first := min(n, p.capBytes-start)
+	fn(p.base+start, 0, first)
+	if first < n {
+		fn(p.base, first, n-first)
 	}
 }
 
-// WriteRaw materializes data at logical segment seg without tagging or
-// traffic accounting (test/setup helper).
-func (p *Pool) WriteRaw(seg int, data []byte) {
-	off := 0
-	for off < len(data) {
-		n := p.segSize
-		if len(data)-off < n {
-			n = len(data) - off
-		}
-		a := p.base + ((seg%p.nSegs)+p.nSegs)%p.nSegs*p.segSize
-		p.dev.WriteRaw(a, data[off:off+n])
-		seg++
-		off += n
-	}
+// LoadBytes reads len(dst) bytes at logical byte offset off with shadow
+// verification against (owner, elem0...).
+func (p *Pool) LoadBytes(off int, dst []byte, owner mcu.TensorID, elem0 int) {
+	p.splitRun(off, len(dst), func(addr, co, cl int) {
+		p.dev.ReadTagged(addr, dst[co:co+cl], owner, elem0+co)
+	})
 }
 
-// ReadRaw copies nBytes starting at logical segment seg without tag checks
-// (used to extract results after a kernel finishes).
-func (p *Pool) ReadRaw(seg, nBytes int) []byte {
-	out := make([]byte, 0, nBytes)
-	buf := make([]byte, p.segSize)
-	for len(out) < nBytes {
-		n := p.segSize
-		if rem := nBytes - len(out); rem < n {
-			n = rem
-		}
-		a := p.base + ((seg%p.nSegs)+p.nSegs)%p.nSegs*p.segSize
-		p.dev.ReadRaw(a, buf[:n])
-		out = append(out, buf[:n]...)
-		seg++
-	}
-	return out
+// StoreBytes writes src at logical byte offset off, claiming the bytes.
+// Overwriting another tensor's bytes is legal; that tensor's later reads
+// are flagged.
+func (p *Pool) StoreBytes(off int, src []byte, owner mcu.TensorID, elem0 int) {
+	p.splitRun(off, len(src), func(addr, co, cl int) {
+		p.dev.WriteTagged(addr, src[co:co+cl], owner, elem0+co)
+	})
 }
 
-// Ptr is a segment-granular cursor into the pool, the runtime analogue of
-// the paper's input/output tensor start pointers.
-type Ptr struct {
-	pool *Pool
-	seg  int // logical (unwrapped) segment index
+// FreeBytes releases n bytes at logical byte offset off.
+func (p *Pool) FreeBytes(off, n int, owner mcu.TensorID) {
+	p.splitRun(off, n, func(addr, co, cl int) {
+		p.dev.FreeTagged(addr, cl, owner)
+	})
 }
 
-// PtrAt creates a cursor at logical segment index seg.
-func (p *Pool) PtrAt(seg int) *Ptr { return &Ptr{pool: p, seg: seg} }
-
-// Seg returns the cursor's logical segment index.
-func (q *Ptr) Seg() int { return q.seg }
-
-// Advance moves the cursor forward by n segments (n may be negative).
-func (q *Ptr) Advance(n int) { q.seg += n }
-
-// Load reads from the cursor's current segment.
-func (q *Ptr) Load(dst []byte, owner mcu.TensorID, elem0 int) {
-	q.pool.Load(q.seg, dst, owner, elem0)
+// ClaimBytes tags n bytes at logical byte offset off as owned, tracing
+// element indices from elem0, without traffic (tensor placement).
+func (p *Pool) ClaimBytes(off, n int, owner mcu.TensorID, elem0 int) {
+	p.splitRun(off, n, func(addr, co, cl int) {
+		p.dev.ClaimRegion(addr, cl, owner, elem0+co)
+	})
 }
 
-// Store writes at the cursor's current segment.
-func (q *Ptr) Store(src []byte, owner mcu.TensorID, elem0 int) {
-	q.pool.Store(q.seg, src, owner, elem0)
+// WriteRawBytes materializes data at logical byte offset without tagging
+// or traffic accounting (test/setup helper).
+func (p *Pool) WriteRawBytes(off int, data []byte) {
+	p.splitRun(off, len(data), func(addr, co, cl int) {
+		p.dev.WriteRaw(addr, data[co:co+cl])
+	})
 }
 
-// Free releases n bytes at the cursor's current segment.
-func (q *Ptr) Free(n int, owner mcu.TensorID) {
-	q.pool.Free(q.seg, n, owner)
+// ReadRawBytes copies the len(dst) bytes at logical byte offset off into
+// dst without tag checks or traffic (result extraction helper).
+func (p *Pool) ReadRawBytes(off int, dst []byte) {
+	p.splitRun(off, len(dst), func(addr, co, cl int) {
+		p.dev.ReadRaw(addr, dst[co:co+cl])
+	})
 }
