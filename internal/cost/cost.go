@@ -40,7 +40,8 @@ import (
 
 // Unit is one priced execution unit of an estimate.
 type Unit struct {
-	// Name identifies the unit, e.g. "B3", "B1+B2(split×8)", "B5>B6 seam".
+	// Name identifies the unit, e.g. "B3(fused)", "B1+B2(split×8)",
+	// "B5>B6 seam" or "B12>B13 glue".
 	Name string
 	// Kind is the unit's schedule role: "fused", "baseline", "unfused",
 	// "split", "seam", or "glue".
@@ -59,7 +60,7 @@ type Unit struct {
 type Estimate struct {
 	// Profile names the mcu.Profile the estimate is priced under.
 	Profile string
-	// Units are the per-unit predictions, in network order.
+	// Units are the per-unit predictions, in the order the plan runs them.
 	Units []Unit
 	// Executed sums the units netplan.Run actually executes (modules, split
 	// region, seam kernels) — the counts validated against device counters.

@@ -100,28 +100,6 @@ func (p *Pass) Inspect(f func(ast.Node) bool) {
 	}
 }
 
-// EnclosingFunc returns the innermost function declaration containing
-// pos, or nil (positions in var blocks, type decls, or file scope).
-// Function literals belong to their enclosing declaration: a goroutine
-// body inherits the surrounding function's annotations.
-func (p *Pass) EnclosingFunc(pos token.Pos) *ast.FuncDecl {
-	for _, file := range p.Files {
-		if pos < file.Pos() || pos > file.End() {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if pos >= fd.Pos() && pos <= fd.End() {
-				return fd
-			}
-		}
-	}
-	return nil
-}
-
 // ReceiverType resolves a method declaration's receiver to its named
 // type, dereferencing one pointer. Returns nil for plain functions and
 // receivers that are not (pointers to) named types.

@@ -1,9 +1,6 @@
 package mcu
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // TensorID identifies a logical tensor for shadow-state tracking.
 // ID 0 is reserved for "free / untracked".
@@ -195,9 +192,6 @@ func (d *Device) touch(end int) {
 		d.touched = end
 	}
 }
-
-// ErrOutOfMemory is returned when an allocation exceeds RAM capacity.
-var ErrOutOfMemory = errors.New("mcu: out of RAM")
 
 // --- Raw (untracked) access: used by baseline kernels. ---
 

@@ -28,12 +28,11 @@ const (
 )
 
 // EstimatePlan predicts the execution cost of a solved plan under a
-// profile without running it: one cost unit per execution unit of
-// netplan.Run (split region, per-module kernels, streamed seams), plus one
-// modeled glue unit per disjoint handoff (which the verifier never
-// executes — the estimate keeps those separate in Estimate.Glue). The
-// executed portion is bit-exact against the summed device counters of a
-// netplan.Run of the same plan.
+// profile without running it: one cost unit per NetworkPlan.Units entry,
+// in that order and under the unit's name. Glue units are marked not
+// Executed (the verifier models them but never runs them; the estimate
+// sums them apart in Estimate.Glue). Each executed unit's Stats equal the
+// device counters a netplan.Run of the same plan measures for that unit.
 func EstimatePlan(profile mcu.Profile, net graph.Network, np *NetworkPlan) (*cost.Estimate, error) {
 	if np == nil {
 		return nil, fmt.Errorf("netplan: estimate of a nil plan")
@@ -42,77 +41,36 @@ func EstimatePlan(profile mcu.Profile, net graph.Network, np *NetworkPlan) (*cos
 		return nil, fmt.Errorf("netplan: plan has %d modules, network %s has %d",
 			len(np.Modules), net.Name, len(net.Modules))
 	}
-	var units []cost.Unit
-	start := 0
-	if np.Split != nil {
-		start = np.Split.Depth
-		units = append(units, cost.Unit{
-			Name:     splitName(np.Split),
-			Kind:     "split",
-			Executed: true,
-			Stats:    cost.SplitRegion(np.Split.Plan),
-		})
-	}
-	for mi := start; mi < len(net.Modules); mi++ {
-		cfg := net.Modules[mi]
-		ms := np.Modules[mi]
-		u := cost.Unit{Name: cfg.Name, Kind: ms.Policy.String(), Executed: true}
-		switch ms.Policy {
-		case PolicyFused, PolicyBaseline:
-			u.Stats = cost.FusedModule(cfg)
-		case PolicyUnfused:
-			st, err := cost.UnfusedModule(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("netplan: %w", err)
+	units := make([]cost.Unit, len(np.Units))
+	for i, u := range np.Units {
+		cu := cost.Unit{Name: u.Name, Kind: string(u.Kind), Executed: u.Kind != UnitGlue}
+		switch u.Kind {
+		case UnitSplit:
+			cu.Stats = cost.SplitRegion(np.Split.Plan)
+		case UnitModule:
+			cfg, policy := net.Modules[u.Index], np.Modules[u.Index].Policy
+			cu.Kind = policy.String()
+			if policy == PolicyUnfused {
+				st, err := cost.UnfusedModule(cfg)
+				if err != nil {
+					return nil, fmt.Errorf("netplan: %w", err)
+				}
+				cu.Stats = st
+			} else {
+				cu.Stats = cost.FusedModule(cfg)
 			}
-			u.Stats = st
-		default:
-			return nil, fmt.Errorf("netplan: module %s has unexpected policy %v outside the split region",
-				cfg.Name, ms.Policy)
+		case UnitSeam:
+			cu.Stats = cost.Seam(np.Seams[u.Index].Spec)
+		case UnitGlue:
+			var spec *plan.SeamSpec
+			if u.Glue.Stride > 0 {
+				spec = &u.Glue
+			}
+			cu.Stats = cost.DisjointGlue(spec, np.Tensors[u.In].Bytes, np.Tensors[u.Out].Bytes)
 		}
-		units = append(units, u)
-	}
-	// Handoffs: streamed seams are executed units; every other
-	// non-connectable boundary is a modeled glue op.
-	streamed := make(map[int]plan.SeamSpec, len(np.Seams))
-	for _, s := range np.Seams {
-		streamed[s.Producer] = s.Spec
-	}
-	for i := 0; i+1 < len(net.Modules); i++ {
-		a, b := net.Modules[i], net.Modules[i+1]
-		if plan.Connectable(a, b) {
-			continue
-		}
-		if spec, ok := streamed[i]; ok {
-			units = append(units, cost.Unit{
-				Name:     spec.Name + " seam",
-				Kind:     "seam",
-				Executed: true,
-				Stats:    cost.Seam(spec),
-			})
-			continue
-		}
-		_, _, _, _, h3, w3 := a.Grids()
-		var specPtr *plan.SeamSpec
-		if spec, ok := plan.SeamOf(a, b); ok {
-			specPtr = &spec
-		}
-		units = append(units, cost.Unit{
-			Name:     fmt.Sprintf("%s>%s glue", a.Name, b.Name),
-			Kind:     "glue",
-			Executed: false,
-			Stats:    cost.DisjointGlue(specPtr, h3*w3*a.Cout, b.H*b.W*b.Cin),
-		})
+		units[i] = cu
 	}
 	return cost.Assemble(profile, units), nil
-}
-
-func splitName(s *SplitSchedule) string {
-	mods := s.Plan.Spec.Modules
-	if len(mods) == 1 {
-		return fmt.Sprintf("%s(split×%d)", mods[0].Name, s.Patches)
-	}
-	return fmt.Sprintf("%s+%s(split×%d)", mods[0].Name, mods[len(mods)-1].Name, s.Patches)
 }
 
 // Variant is one point of the (peak bytes, cycles, energy) plan space: a

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/vmcu-project/vmcu/internal/cost"
 	"github.com/vmcu-project/vmcu/internal/graph"
 	"github.com/vmcu-project/vmcu/internal/mcu"
 )
@@ -18,6 +19,43 @@ func sumExecuted(res *RunResult) mcu.Stats {
 		st.Add(r.Stats)
 	}
 	return st
+}
+
+// checkUnitEstimates asserts that the estimate prices the plan's units one
+// for one, in order, and, given a run, that each executed unit's predicted
+// Stats equal the counters its run measured. Results are matched to units
+// independently of the executor: RunResult.Modules holds the non-seam
+// executed units in list order and RunResult.Seams the seams.
+func checkUnitEstimates(t testing.TB, np *NetworkPlan, est *cost.Estimate, res *RunResult) {
+	t.Helper()
+	if len(est.Units) != len(np.Units) {
+		t.Fatalf("%d estimate units for %d plan units", len(est.Units), len(np.Units))
+	}
+	var mods, seams []graph.ExecResult
+	if res != nil {
+		mods, seams = res.Modules, res.Seams
+		if len(mods) != len(np.Units)-np.Handoffs || len(seams) != len(np.Seams) {
+			t.Fatalf("%d module and %d seam results for %d units", len(mods), len(seams), len(np.Units))
+		}
+	}
+	for i, u := range np.Units {
+		e := est.Units[i]
+		if e.Name != u.Name || e.Executed != (u.Kind != UnitGlue) {
+			t.Fatalf("estimate unit %d is %q (executed %v), plan unit is %q (%v)", i, e.Name, e.Executed, u.Name, u.Kind)
+		}
+		if res == nil || u.Kind == UnitGlue {
+			continue
+		}
+		var r graph.ExecResult
+		if u.Kind == UnitSeam {
+			r, seams = seams[0], seams[1:]
+		} else {
+			r, mods = mods[0], mods[1:]
+		}
+		if e.Stats != r.Stats {
+			t.Errorf("unit %s: estimate %+v, executed %+v", u.Name, e.Stats, r.Stats)
+		}
+	}
 }
 
 // TestEstimateMatchesExecutedCounters is the validation contract of the
@@ -64,6 +102,8 @@ func TestEstimateMatchesExecutedCounters(t *testing.T) {
 					t.Errorf("%s: executed counts diverge\nestimate %+v\nmeasured %+v",
 						prof.Name, est.Executed, measured)
 				}
+				checkUnitList(t, tc.net, res.Plan)
+				checkUnitEstimates(t, res.Plan, est, res)
 				for _, q := range []struct {
 					metric string
 					g, w   float64

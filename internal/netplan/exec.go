@@ -12,12 +12,10 @@ import (
 )
 
 // RunResult reports a whole-network execution: the memoized plan plus one
-// verified ExecResult per executed unit, in network order. Without a
-// patch-split region that is one result per module; with one, the region's
-// modules verify together as the leading unit (named e.g. "B1+B2(split×8)")
-// followed by one result per remaining module. Streamed seam kernels
-// (NetworkPlan.Seams) verify as their own units, reported separately in
-// Seams so Modules keeps its one-entry-per-module shape.
+// verified ExecResult per executed unit. Modules holds the split region
+// (e.g. "B1+B2(split×8)"), if any, then each remaining module in network
+// order; Seams holds the streamed seams apart, so Modules keeps its
+// one-entry-per-module shape. Glue is not executed and has no result.
 type RunResult struct {
 	Plan    *NetworkPlan
 	Modules []graph.ExecResult
@@ -33,28 +31,27 @@ type RunResult struct {
 	Violations int
 }
 
-// Run plans the network through the cache and executes every unit's
-// verification under its scheduled policy. Every unit runs on the
-// network's weights (Cache.Weights, drawn once per network from the model
-// seed); seed picks only the inputs: the split region's from seed, module
-// i's from seed+i and seam si's from seed+len(net.Modules)+si. Unit
-// verifications are independent (each runs on a pooled device reset to
-// New's state and loaded with its unit's Flash image), so they run
-// concurrently on a bounded worker pool; results keep network order.
+// Run plans the network through the cache and verifies every executed unit
+// of the plan (NetworkPlan.Units, glue skipped) under its scheduled policy.
+// Every unit runs on the network's weights (Cache.Weights, drawn once per
+// network from the model seed); seed picks only the inputs: the split
+// region's from seed, module i's from seed+i and seam si's from
+// seed+len(net.Modules)+si. Unit verifications are independent (each runs
+// on a pooled device reset to New's state and loaded with its unit's Flash
+// image), so they run concurrently on a bounded worker pool.
 func Run(profile mcu.Profile, net graph.Network, seed int64, opts Options, cache *Cache) (*RunResult, error) {
 	return RunTraced(profile, net, seed, opts, cache, nil, 0, 0, "")
 }
 
 // RunTraced is Run with per-unit observability: when tr (or opts.Tracer)
-// is enabled, every executed unit — module, split region, streamed seam —
-// is recorded as a KindUnit span carrying the unit's device counters
-// (cycles, MACs, RAM traffic, peak bytes, verification outcome) under the
-// given parent/trace span IDs (0 for standalone roots). Units execute
-// concurrently on the worker pool, so their wall times overlap; the
-// simulated cycle axis is laid out cumulatively in network order — the
-// timeline the single-core device would execute — which is what the
-// exported device-cycle track renders. device names the simulated device
-// in the span ("" for host-only traces).
+// is enabled, every executed unit is recorded as a KindUnit span carrying
+// its device counters (cycles, MACs, RAM traffic, peak bytes, verification
+// outcome) under the given parent/trace span IDs (0 for standalone roots).
+// Wall times overlap, as the units run on a worker pool. The simulated
+// cycle axis lays the units' cycles back to back in NetworkPlan.Units
+// order; each unit counts its own isolated run, input placement included,
+// and glue counts nothing, so the axis is not a one-pass device timeline.
+// device names the simulated device in the span ("" for host-only traces).
 func RunTraced(profile mcu.Profile, net graph.Network, seed int64, opts Options, cache *Cache,
 	tr *obs.Tracer, parentID, traceID uint64, device string) (*RunResult, error) {
 	if tr == nil {
@@ -82,83 +79,72 @@ func RunTracedTo(profile mcu.Profile, net graph.Network, seed int64, opts Option
 	if err != nil {
 		return nil, err
 	}
-	// Unit list: module index, -1 for the patch-split region, or
-	// -2-si for streamed seam si. Module/region results land in Modules,
-	// seam results in Seams; both keep network order.
-	units := []int{}
-	start := 0
-	if np.Split != nil {
-		units = append(units, -1)
-		start = np.Split.Depth
-	}
-	for i := start; i < len(net.Modules); i++ {
-		units = append(units, i)
-	}
-	nMod := len(units)
-	for si := range np.Seams {
-		units = append(units, -2-si)
-	}
-	results := make([]graph.ExecResult, len(units))
-	errs := make([]error, len(units))
-	// Per-unit wall timestamps, captured only when tracing (nil slices keep
-	// the untraced hot path free of clock reads).
-	var startNs, endNs []int64
+	executed := len(np.Units) - np.Handoffs + len(np.Seams)
+	results := make([]graph.ExecResult, executed)
+	errs := make([]error, executed)
+	// Per-unit wall start and end, captured only when tracing (a nil slice
+	// keeps the untraced hot path free of clock reads).
+	var wall [][2]int64
 	if tr.Enabled() {
-		startNs = make([]int64, len(units))
-		endNs = make([]int64, len(units))
+		wall = make([][2]int64, executed)
 	}
-	jobs := make(chan int)
+	jobs := make(chan int) // indices into np.Units
 	workers := runtime.GOMAXPROCS(0)
-	if workers > len(units) {
-		workers = len(units)
+	if workers > executed {
+		workers = executed
 	}
-	// Seam seeds start past every module seed so no unit shares another's
-	// input stream.
-	seamSeed := func(si int) int64 { return seed + int64(len(net.Modules)) + int64(si) }
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			rng := newInputRand() // reseeded per unit
-			for u := range jobs {
-				if startNs != nil {
-					startNs[u] = tr.Now()
+			for ui := range jobs {
+				u := np.Units[ui]
+				r := np.resultSlot(u)
+				if wall != nil {
+					wall[r][0] = tr.Now()
 				}
-				switch mi := units[u]; {
-				case mi <= -2:
-					s := np.Seams[-2-mi]
-					rng.Seed(seamSeed(-2 - mi))
-					results[u], errs[u] = runSeam(profile, s, wt, rng)
-				case mi == -1:
+				switch u.Kind {
+				case UnitSplit:
 					rng.Seed(seed)
-					results[u], errs[u] = graph.ExecSplitRegion(profile, np.Split.Plan, wt.Modules[:np.Split.Depth], rng)
-				default:
-					rng.Seed(seed + int64(mi))
-					results[u], errs[u] = runModule(profile, wt.Modules[mi], np.Modules[mi], rng)
+					results[r], errs[r] = graph.ExecSplitRegion(profile, np.Split.Plan, wt.Modules[:np.Split.Depth], rng)
+				case UnitModule:
+					rng.Seed(seed + int64(u.Index))
+					mw, ms := wt.Modules[u.Index], np.Modules[u.Index]
+					if ms.Policy == PolicyUnfused {
+						results[r], errs[r] = graph.ExecModuleUnfused(profile, mw, rng)
+					} else { // baseline runs the fused kernel under its wider placement
+						results[r], errs[r] = graph.ExecModule(profile, mw, ms.Plans[0], rng)
+					}
+				case UnitSeam:
+					// Seam seeds start past every module seed so no unit
+					// shares another's input stream.
+					rng.Seed(seed + int64(len(np.Modules)) + int64(u.Index))
+					results[r], errs[r] = runSeam(profile, np.Seams[u.Index], wt, rng)
 				}
-				if endNs != nil {
-					endNs[u] = tr.Now()
+				if errs[r] != nil {
+					errs[r] = fmt.Errorf("netplan: %s: %w", u.Name, errs[r])
+				}
+				if wall != nil {
+					wall[r][1] = tr.Now()
 				}
 			}
 		}()
 	}
-	for u := range units {
-		jobs <- u
+	for ui, u := range np.Units {
+		if u.Kind != UnitGlue {
+			jobs <- ui
+		}
 	}
 	close(jobs)
 	wg.Wait()
-	for u, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			name := "split region"
-			if mi := units[u]; mi >= 0 {
-				name = net.Modules[mi].Name
-			} else if mi <= -2 {
-				name = "seam " + np.Seams[-2-mi].Name
-			}
-			return nil, fmt.Errorf("netplan: %s: %w", name, err)
+			return nil, err
 		}
 	}
+	nMod := executed - len(np.Seams)
 	out := &RunResult{Plan: np, Modules: results[:nMod], Seams: results[nMod:], AllVerified: true}
 	for _, r := range results {
 		if !r.OutputOK {
@@ -167,40 +153,47 @@ func RunTracedTo(profile mcu.Profile, net graph.Network, seed int64, opts Option
 		out.Violations += r.Violations
 	}
 	if tr.Enabled() {
-		emitUnitSpans(tr, buf, profile, net, np, units, results, startNs, endNs, parentID, traceID, device)
+		emitUnitSpans(tr, buf, profile, np, results, wall, parentID, traceID, device)
 	}
 	return out, nil
 }
 
+// resultSlot is where an executed unit's result lands: the split region and
+// the modules first (RunResult.Modules), then the seams (RunResult.Seams).
+func (np *NetworkPlan) resultSlot(u Unit) int {
+	switch {
+	case u.Kind == UnitSeam:
+		return len(np.Units) - np.Handoffs + u.Index
+	case np.Split == nil:
+		return u.Index
+	case u.Kind == UnitSplit:
+		return 0
+	}
+	return u.Index - np.Split.Depth + 1
+}
+
 // emitUnitSpans records one KindUnit span per executed unit into buf (or
-// straight into tr when buf is nil), in network order. It runs in the
-// calling goroutine after the workers finish, so buf keeps its single
-// owner. Wall times are the measured per-worker times; the simulated cycle
-// axis is cumulative in network order, placing every kernel where the
-// single-core device would execute it.
-func emitUnitSpans(tr *obs.Tracer, buf *obs.SpanBuffer, profile mcu.Profile, net graph.Network, np *NetworkPlan,
-	units []int, results []graph.ExecResult, startNs, endNs []int64, parentID, traceID uint64, device string) {
+// straight into tr when buf is nil), in NetworkPlan.Units order, so a seam
+// starts on the cycle axis where its producer ends. It runs in the calling
+// goroutine after the workers finish, so buf keeps its single owner.
+func emitUnitSpans(tr *obs.Tracer, buf *obs.SpanBuffer, profile mcu.Profile, np *NetworkPlan,
+	results []graph.ExecResult, wall [][2]int64, parentID, traceID uint64, device string) {
 	cursor := 0.0
-	for u, mi := range units {
-		r := results[u]
-		cyc := r.Stats.Cycles(profile)
-		var name string
-		switch {
-		case mi <= -2:
-			name = np.Seams[-2-mi].Name + " seam"
-		case mi == -1:
-			name = splitName(np.Split)
-		default:
-			name = fmt.Sprintf("%s(%s)", net.Modules[mi].Name, np.Modules[mi].Policy)
+	for _, u := range np.Units {
+		if u.Kind == UnitGlue {
+			continue
 		}
+		slot := np.resultSlot(u)
+		r := results[slot]
+		cyc := r.Stats.Cycles(profile)
 		verified := int64(0)
 		if r.OutputOK {
 			verified = 1
 		}
 		tr.EmitTo(buf, obs.SpanData{
 			Parent: parentID, Trace: traceID,
-			Name: name, Kind: obs.KindUnit, Device: device,
-			Start: startNs[u], End: endNs[u],
+			Name: u.Name, Kind: obs.KindUnit, Device: device,
+			Start: wall[slot][0], End: wall[slot][1],
 			StartCycles: cursor, EndCycles: cursor + cyc,
 			Attrs: []obs.Attr{
 				obs.Float("cycles", cyc),
@@ -220,17 +213,6 @@ func emitUnitSpans(tr *obs.Tracer, buf *obs.SpanBuffer, profile mcu.Profile, net
 // package variable so a test can observe the inputs a run draws;
 // production code never reassigns it.
 var newInputRand = func() *rand.Rand { return rand.New(rand.NewSource(1)) }
-
-func runModule(profile mcu.Profile, mw *graph.ModuleWeights, ms ModuleSchedule, rng *rand.Rand) (graph.ExecResult, error) {
-	switch ms.Policy {
-	case PolicyUnfused:
-		return graph.ExecModuleUnfused(profile, mw, rng)
-	default:
-		// Fused and baseline both execute the fused kernel; baseline just
-		// runs it under the wider disjoint placement.
-		return graph.ExecModule(profile, mw, ms.Plans[0], rng)
-	}
-}
 
 // runSeam executes seam s on the weights drawn for its boundary.
 func runSeam(profile mcu.Profile, s SeamSchedule, wt *graph.Weights, rng *rand.Rand) (graph.ExecResult, error) {

@@ -116,6 +116,7 @@ func TestFuzzPlanAndRun(t *testing.T) {
 		if len(res.Seams) != np.StreamedHandoffs {
 			t.Fatalf("iter %d: %d seam results for %d streamed handoffs", iter, len(res.Seams), np.StreamedHandoffs)
 		}
+		checkUnitList(t, net, np)
 
 		// Invariant (cost model): the analytic estimate's executed portion
 		// reproduces the summed device counters of the run exactly — the
@@ -129,6 +130,7 @@ func TestFuzzPlanAndRun(t *testing.T) {
 			t.Fatalf("iter %d %+v: estimate diverges from counters\nestimate %+v\nmeasured %+v",
 				iter, net.Modules, est.Executed, measured)
 		}
+		checkUnitEstimates(t, np, est, res)
 
 		// Invariant (cost model): estimated cycles are monotone in the halo
 		// recompute and never fall below the zero-recompute lower bound.
@@ -157,4 +159,103 @@ func TestFuzzPlanAndRun(t *testing.T) {
 	if executed < 100 {
 		t.Fatalf("only %d chains executed, want ≥ 100", executed)
 	}
+}
+
+// checkUnitList asserts the invariants of a plan's unit list: the units
+// cover every Steps index exactly once, in order; each unit reads the
+// activation the one before it wrote, and the last writes the network
+// output (the anchor at offset 0); the split region comes first, then
+// every remaining module once, in network order; seams are numbered in
+// list order; and every handoff not streamed is one glue unit, carrying
+// the seam spec that prices it where a seam could express the boundary.
+func checkUnitList(t testing.TB, net graph.Network, np *NetworkPlan) {
+	t.Helper()
+	next, mod, seams, glue := 0, 0, 0, 0
+	prevOut := 0 // the network input, tensor 0, when there is no split region
+	for i, u := range np.Units {
+		if u.FirstStep != next || u.LastStep < u.FirstStep {
+			t.Fatalf("unit %d %s covers steps %d..%d, want it to start at %d",
+				i, u.Name, u.FirstStep, u.LastStep, next)
+		}
+		next = u.LastStep + 1
+		if u.In != prevOut && (u.Kind != UnitSplit || u.In != -1) {
+			t.Fatalf("unit %d %s reads tensor %d, its predecessor wrote %d", i, u.Name, u.In, prevOut)
+		}
+		prevOut = u.Out
+		switch u.Kind {
+		case UnitSplit:
+			if i != 0 || np.Split == nil {
+				t.Fatalf("split unit %s at position %d (plan split %+v)", u.Name, i, np.Split)
+			}
+			mod = np.Split.Depth
+		case UnitModule:
+			if u.Index != mod {
+				t.Fatalf("unit %d %s runs module %d, want %d", i, u.Name, u.Index, mod)
+			}
+			mod++
+			for s := u.FirstStep; s <= u.LastStep; s++ {
+				if np.Steps[s].Module != u.Index {
+					t.Fatalf("unit %s covers step %s of module %d", u.Name, np.Steps[s].Name, np.Steps[s].Module)
+				}
+			}
+		case UnitSeam:
+			if u.Index != seams || np.Seams[u.Index].Producer != mod-1 {
+				t.Fatalf("seam unit %s has index %d after module %d, want %d after %d",
+					u.Name, u.Index, mod-1, seams, np.Seams[u.Index].Producer)
+			}
+			seams++
+		case UnitGlue:
+			if u.Index != mod-1 {
+				t.Fatalf("glue unit %s names producer %d, want %d", u.Name, u.Index, mod-1)
+			}
+			// The glue op is priced as the seam that would express it.
+			if spec, _ := plan.SeamOf(net.Modules[mod-1], net.Modules[mod]); u.Glue != spec {
+				t.Fatalf("glue unit %s carries seam spec %+v, want %+v", u.Name, u.Glue, spec)
+			}
+			glue++
+		}
+		if u.Kind == UnitSeam || u.Kind == UnitGlue {
+			if u.FirstStep != u.LastStep || np.Steps[u.FirstStep].Module != -1 {
+				t.Fatalf("handoff unit %s covers steps %d..%d", u.Name, u.FirstStep, u.LastStep)
+			}
+		}
+	}
+	if next != len(np.Steps) {
+		t.Fatalf("units cover %d of %d steps", next, len(np.Steps))
+	}
+	if mod != len(net.Modules) || seams != len(np.Seams) {
+		t.Fatalf("units run %d of %d modules and %d of %d seams", mod, len(net.Modules), seams, len(np.Seams))
+	}
+	if glue != np.Handoffs-len(np.Seams) {
+		t.Fatalf("%d glue units for %d handoffs and %d seams", glue, np.Handoffs, len(np.Seams))
+	}
+	if np.Tensors[prevOut].Offset != 0 {
+		t.Fatalf("last unit writes %s at offset %d, not the anchored output",
+			np.Tensors[prevOut].Name, np.Tensors[prevOut].Offset)
+	}
+}
+
+// FuzzPlanUnits plans random chains in both handoff modes, without
+// executing them, and checks every plan's unit list and that the cost
+// estimate prices exactly those units, in order.
+func FuzzPlanUnits(f *testing.F) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		net := randomChain(rng, 2+rng.Intn(4))
+		for _, mode := range []HandoffMode{HandoffStream, HandoffDisjoint} {
+			np, err := Plan(net, Options{Handoff: mode})
+			if err != nil {
+				t.Fatalf("%v plan of %+v: %v", mode, net.Modules, err)
+			}
+			checkUnitList(t, net, np)
+			est, err := EstimatePlan(mcu.CortexM4(), net, np)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkUnitEstimates(t, np, est, nil)
+		}
+	})
 }

@@ -124,7 +124,7 @@ type Tensor struct {
 	Birth, Death int
 }
 
-// Step is one unit of the network execution timeline: a module kernel
+// Step is one entry of the network execution timeline: a module kernel
 // invocation, one layer of an unfused chain, or an inter-module handoff.
 type Step struct {
 	// Name describes the step, e.g. "S1(fused)", "S3.conv1", "S2>S3 handoff".
@@ -189,6 +189,40 @@ type SeamSchedule struct {
 	Plan plan.Plan
 }
 
+// UnitKind classifies one execution unit of a plan; its value is the
+// unit's kind in a cost estimate.
+type UnitKind string
+
+// The unit kinds. Glue is the only kind the verifier does not execute.
+const (
+	UnitSplit  UnitKind = "split"  // the patch-split region, run as one unit
+	UnitModule UnitKind = "module" // one module under its fused, baseline or unfused policy
+	UnitSeam   UnitKind = "seam"   // a streamed seam kernel, an entry of NetworkPlan.Seams
+	UnitGlue   UnitKind = "glue"   // a disjoint handoff's glue op, modeled by the estimate
+)
+
+// Unit is one execution unit of a plan. It holds indices and values only,
+// never a pointer, so Fingerprint stays deterministic.
+type Unit struct {
+	Kind UnitKind
+	// Name labels the unit's trace span and estimate, e.g. "S2(fused)",
+	// "B1+B2(split×8)", "S2>S3 seam" or "B12>B13 glue".
+	Name string
+	// Index is the module index of a UnitModule, the Seams index of a
+	// UnitSeam and the producer module's index of a UnitGlue. A UnitSplit
+	// covers modules 0 through Split.Depth−1 and has Index 0.
+	Index int
+	// FirstStep and LastStep bound, inclusively, the Steps the unit covers.
+	FirstStep, LastStep int
+	// In and Out index Tensors: the activation the unit reads and the one
+	// it writes. The split region streams its patches from the network
+	// input and has In −1.
+	In, Out int
+	// Glue is, for a UnitGlue at a boundary a seam could express, that
+	// seam's spec, which prices the glue op; the zero value otherwise.
+	Glue plan.SeamSpec
+}
+
 // NetworkPlan is the solved whole-network placement.
 type NetworkPlan struct {
 	Network     string
@@ -196,6 +230,9 @@ type NetworkPlan struct {
 	Modules     []ModuleSchedule
 	Tensors     []Tensor
 	Steps       []Step
+	// Units lists the execution units in Steps order, the order the device
+	// runs them. Run, its unit spans and EstimatePlan walk it.
+	Units       []Unit
 	Constraints []Constraint
 	// Split is non-nil when the leading modules are scheduled as a patch
 	// -split region (their ModuleSchedules carry PolicySplit).
@@ -557,32 +594,20 @@ func searchSplit(net graph.Network, opts Options, base *NetworkPlan, tr *obs.Tra
 func solve(net graph.Network, opts Options, sp *plan.SplitPlan) (*NetworkPlan, error) {
 	np := &NetworkPlan{Network: net.Name, BudgetBytes: opts.BudgetBytes}
 
-	addTensor := func(name string, bytes int) int {
-		np.Tensors = append(np.Tensors, Tensor{Name: name, Bytes: bytes})
-		return len(np.Tensors) - 1
-	}
-	addStep := func(name string, module, ws int, live ...int) {
-		np.Steps = append(np.Steps, Step{Name: name, Module: module, WorkspaceBytes: ws, Live: live})
-	}
-	constrain := func(hi, lo, gap int) {
-		np.Constraints = append(np.Constraints, Constraint{Hi: hi, Lo: lo, Gap: gap})
-	}
-
 	var cur int // index of the tensor currently holding the live activation
 	start := 0
 	if sp != nil {
-		cur = buildSplitRegion(np, sp, addTensor, addStep, constrain)
+		cur = np.buildSplitRegion(sp)
 		start = len(sp.Spec.Modules)
 		np.Split = &SplitSchedule{Depth: start, Patches: sp.Spec.Patches, Plan: *sp}
 		if start < len(net.Modules) {
-			if err := crossBoundary(np, opts.Handoff, start-1, net.Modules[start-1], net.Modules[start], &cur, addTensor, addStep, constrain); err != nil {
+			if err := np.crossBoundary(opts.Handoff, start-1, net.Modules[start-1], net.Modules[start], &cur); err != nil {
 				return nil, err
 			}
 		}
 	} else {
 		first := net.Modules[0]
-		np.Tensors = []Tensor{{Name: "input", Bytes: first.H * first.W * first.Cin}}
-		cur = 0
+		cur = np.addTensor("input", first.H*first.W*first.Cin)
 	}
 
 	for mi := start; mi < len(net.Modules); mi++ {
@@ -592,12 +617,14 @@ func solve(net graph.Network, opts Options, sp *plan.SplitPlan) (*NetworkPlan, e
 		if err != nil {
 			return nil, err
 		}
+		u := Unit{Kind: UnitModule, Name: fmt.Sprintf("%s(%s)", cfg.Name, ms.Policy), Index: mi,
+			FirstStep: len(np.Steps), In: cur}
 		switch ms.Policy {
 		case PolicyFused, PolicyBaseline:
 			p := ms.Plans[0]
-			out := addTensor(cfg.Name+".out", p.OutBytes)
-			constrain(cur, out, p.GapBytes())
-			addStep(fmt.Sprintf("%s(%s)", cfg.Name, ms.Policy), mi, p.WorkspaceBytes, cur, out)
+			out := np.addTensor(cfg.Name+".out", p.OutBytes)
+			np.constrain(cur, out, p.GapBytes())
+			np.addStep(u.Name, mi, p.WorkspaceBytes, cur, out)
 			cur = out
 		case PolicyUnfused:
 			names := [3]string{".B", ".C", ".out"}
@@ -608,33 +635,35 @@ func solve(net graph.Network, opts Options, sp *plan.SplitPlan) (*NetworkPlan, e
 			}
 			in := cur
 			for si, sp := range ms.Plans {
-				out := addTensor(cfg.Name+names[si], sp.OutBytes)
-				constrain(cur, out, sp.GapBytes())
+				out := np.addTensor(cfg.Name+names[si], sp.OutBytes)
+				np.constrain(cur, out, sp.GapBytes())
 				live := []int{cur, out}
 				if residual && cur != in {
 					// The skip add pins A across the whole chain.
 					live = append(live, in)
 				}
-				addStep(cfg.Name+kinds[si], mi, sp.WorkspaceBytes, live...)
+				np.addStep(cfg.Name+kinds[si], mi, sp.WorkspaceBytes, live...)
 				cur = out
 			}
 			if residual {
 				// The elementwise add writes E over D's storage (equality
 				// pair) while still reading the pinned input.
-				e := addTensor(cfg.Name+".out", np.Tensors[cur].Bytes)
-				constrain(cur, e, 0)
-				constrain(e, cur, 0)
-				addStep(cfg.Name+".add", mi, 0, in, cur, e)
+				e := np.addTensor(cfg.Name+".out", np.Tensors[cur].Bytes)
+				np.constrain(cur, e, 0)
+				np.constrain(e, cur, 0)
+				np.addStep(cfg.Name+".add", mi, 0, in, cur, e)
 				cur = e
 			}
 		}
+		u.Out = cur
+		np.addUnit(u)
 		np.Modules = append(np.Modules, ms)
 		if f := ms.FusedBytes; f > np.PerModuleMaxBytes {
 			np.PerModuleMaxBytes = f
 		}
 
 		if mi+1 < len(net.Modules) {
-			if err := crossBoundary(np, opts.Handoff, mi, cfg, net.Modules[mi+1], &cur, addTensor, addStep, constrain); err != nil {
+			if err := np.crossBoundary(opts.Handoff, mi, cfg, net.Modules[mi+1], &cur); err != nil {
 				return nil, err
 			}
 		}
@@ -647,6 +676,25 @@ func solve(net graph.Network, opts Options, sp *plan.SplitPlan) (*NetworkPlan, e
 	return np, nil
 }
 
+func (np *NetworkPlan) addTensor(name string, bytes int) int {
+	np.Tensors = append(np.Tensors, Tensor{Name: name, Bytes: bytes})
+	return len(np.Tensors) - 1
+}
+
+func (np *NetworkPlan) addStep(name string, module, ws int, live ...int) {
+	np.Steps = append(np.Steps, Step{Name: name, Module: module, WorkspaceBytes: ws, Live: live})
+}
+
+func (np *NetworkPlan) constrain(hi, lo, gap int) {
+	np.Constraints = append(np.Constraints, Constraint{Hi: hi, Lo: lo, Gap: gap})
+}
+
+// addUnit appends u, closing it at the last step appended.
+func (np *NetworkPlan) addUnit(u Unit) {
+	u.LastStep = len(np.Steps) - 1
+	np.Units = append(np.Units, u)
+}
+
 // crossBoundary links two adjacent modules' activations: connectable
 // boundaries share one tensor. Non-connectable boundaries become either a
 // streamed seam step — the glue op scheduled as a real kernel whose
@@ -654,8 +702,7 @@ func solve(net graph.Network, opts Options, sp *plan.SplitPlan) (*NetworkPlan, e
 // segments — or, when no seam expresses the boundary (or under
 // HandoffDisjoint), an opaque handoff step keeping both activations live
 // and fully disjoint.
-func crossBoundary(np *NetworkPlan, mode HandoffMode, producer int, cfg, next plan.Bottleneck, cur *int,
-	addTensor func(string, int) int, addStep func(string, int, int, ...int), constrain func(int, int, int)) error {
+func (np *NetworkPlan) crossBoundary(mode HandoffMode, producer int, cfg, next plan.Bottleneck, cur *int) error {
 	inBytes := next.H * next.W * next.Cin
 	if plan.Connectable(cfg, next) {
 		// Connectable boundary: the output tensor is the next module's
@@ -667,46 +714,57 @@ func crossBoundary(np *NetworkPlan, mode HandoffMode, producer int, cfg, next pl
 		return nil
 	}
 	np.Handoffs++
-	in := addTensor(next.Name+".in", inBytes)
-	if mode == HandoffStream {
-		if spec, ok := plan.SeamOf(cfg, next); ok {
-			sp := plan.PlanSeam(spec)
-			if sp.OutBytes != inBytes {
-				return fmt.Errorf("netplan: seam %s output %dB does not match %s input %dB",
-					spec.Name, sp.OutBytes, next.Name, inBytes)
-			}
-			constrain(*cur, in, sp.GapBytes())
-			addStep(fmt.Sprintf("%s>%s seam", cfg.Name, next.Name), -1, sp.WorkspaceBytes, *cur, in)
-			np.Seams = append(np.Seams, SeamSchedule{
-				Name: spec.Name, Producer: producer, Spec: spec, Plan: sp,
-			})
-			np.StreamedHandoffs++
-			*cur = in
-			return nil
+	in := np.addTensor(next.Name+".in", inBytes)
+	u := Unit{FirstStep: len(np.Steps), In: *cur, Out: in}
+	spec, seam := plan.SeamOf(cfg, next)
+	if seam && mode == HandoffStream {
+		sp := plan.PlanSeam(spec)
+		if sp.OutBytes != inBytes {
+			return fmt.Errorf("netplan: seam %s output %dB does not match %s input %dB",
+				spec.Name, sp.OutBytes, next.Name, inBytes)
 		}
+		u.Kind, u.Name, u.Index = UnitSeam, spec.Name+" seam", len(np.Seams)
+		np.constrain(*cur, in, sp.GapBytes())
+		np.addStep(u.Name, -1, sp.WorkspaceBytes, *cur, in)
+		np.Seams = append(np.Seams, SeamSchedule{
+			Name: spec.Name, Producer: producer, Spec: spec, Plan: sp,
+		})
+		np.StreamedHandoffs++
+	} else {
+		// Disjoint handoff: the opaque glue op reads the old activation
+		// while writing the new one — both live, fully disjoint.
+		boundary := cfg.Name + ">" + next.Name
+		u.Kind, u.Name, u.Index = UnitGlue, boundary+" glue", producer
+		if seam {
+			u.Glue = spec
+		}
+		np.constrain(*cur, in, inBytes)
+		np.addStep(boundary+" handoff", -1, 0, *cur, in)
 	}
-	// Disjoint handoff: the opaque glue op reads the old activation while
-	// writing the new one — both live, fully disjoint.
-	constrain(*cur, in, inBytes)
-	addStep(fmt.Sprintf("%s>%s handoff", cfg.Name, next.Name), -1, 0, *cur, in)
+	np.addUnit(u)
 	*cur = in
 	return nil
 }
 
 // buildSplitRegion appends the patch-split region's tensors, steps,
-// constraints and module schedules to the plan, returning the join
-// tensor's index (the region's output activation).
+// constraints, module schedules and its one unit to the plan, returning
+// the join tensor's index (the region's output activation).
 //
 // Every patch tensor is pinned by an equality pair of difference
 // constraints to the join tensor at its ping-pong slot offset, so the
 // solved placement reproduces graph.RunSplitRegion's pool layout exactly
 // and every branch of the live-range graph stays reachable from the
 // offset anchor.
-func buildSplitRegion(np *NetworkPlan, sp *plan.SplitPlan,
-	addTensor func(string, int) int, addStep func(string, int, int, ...int), constrain func(int, int, int)) int {
+func (np *NetworkPlan) buildSplitRegion(sp *plan.SplitPlan) int {
 	mods := sp.Spec.Modules
 	k := len(mods)
-	join := addTensor(mods[k-1].Name+".out", sp.JoinBytes)
+	join := np.addTensor(mods[k-1].Name+".out", sp.JoinBytes)
+	name := mods[0].Name
+	if k > 1 {
+		name += "+" + mods[k-1].Name
+	}
+	u := Unit{Kind: UnitSplit, Name: fmt.Sprintf("%s(split×%d)", name, sp.Spec.Patches),
+		FirstStep: len(np.Steps), In: -1, Out: join}
 
 	for _, cfg := range mods {
 		fused := plan.PlanBottleneckModule(cfg)
@@ -732,19 +790,20 @@ func buildSplitRegion(np *NetworkPlan, sp *plan.SplitPlan,
 			} else {
 				name = fmt.Sprintf("%s.out.p%d", mods[i-1].Name, j)
 			}
-			t[i] = addTensor(name, sp.PatchBytes(i, j))
+			t[i] = np.addTensor(name, sp.PatchBytes(i, j))
 			// Equality: off(t) − off(join) = SideOffset(i).
-			constrain(t[i], join, sp.SideOffset(i))
-			constrain(join, t[i], -sp.SideOffset(i))
+			np.constrain(t[i], join, sp.SideOffset(i))
+			np.constrain(join, t[i], -sp.SideOffset(i))
 		}
 		for i := 0; i < k; i++ {
 			live := []int{join, t[i]}
 			if i+1 < k {
 				live = append(live, t[i+1])
 			}
-			addStep(fmt.Sprintf("%s.p%d(split)", mods[i].Name, j), i, mods[i].WorkspaceBytes(), live...)
+			np.addStep(fmt.Sprintf("%s.p%d(split)", mods[i].Name, j), i, mods[i].WorkspaceBytes(), live...)
 		}
 	}
+	np.addUnit(u)
 	return join
 }
 

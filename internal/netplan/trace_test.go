@@ -110,8 +110,10 @@ func TestPlannerSpans(t *testing.T) {
 // TestRunTracedUnitSpans proves RunTraced records one KindUnit span per
 // executed unit under the given parent/trace IDs, carrying the unit's
 // device cycle counters and laying the simulated cycle axis out
-// cumulatively. Units run on a worker pool and the snapshot orders spans
-// by wall-clock end, so the cycle layout is checked in StartCycles order.
+// cumulatively in the plan's unit order: each seam sits between its
+// producer and consumer modules. Units run on a worker pool and the
+// snapshot orders spans by wall-clock end, so the cycle layout is checked
+// in StartCycles order.
 func TestRunTracedUnitSpans(t *testing.T) {
 	tr := obs.New(obs.Options{})
 	net := graph.VWW()
@@ -133,8 +135,19 @@ func TestRunTracedUnitSpans(t *testing.T) {
 		t.Fatalf("recorded %d unit spans, want %d", len(units), wantUnits)
 	}
 	sort.Slice(units, func(i, j int) bool { return units[i].StartCycles < units[j].StartCycles })
+	var order []string
+	for _, u := range run.Plan.Units {
+		if u.Kind != UnitGlue {
+			order = append(order, u.Name)
+		}
+	}
+	byName := map[string]obs.SpanData{}
 	cursor := 0.0
-	for _, u := range units {
+	for i, u := range units {
+		if u.Name != order[i] {
+			t.Errorf("unit span %d on the cycle axis is %s, the plan runs %s", i, u.Name, order[i])
+		}
+		byName[u.Name] = u
 		if u.Parent != parentID || u.Trace != traceID {
 			t.Errorf("unit %s not linked to parent/trace: %+v", u.Name, u)
 		}
@@ -159,6 +172,11 @@ func TestRunTracedUnitSpans(t *testing.T) {
 		if u.End < u.Start {
 			t.Errorf("unit %s wall window inverted: %+v", u.Name, u)
 		}
+	}
+	s2, seam, s3 := byName["S2(fused)"], byName["S2>S3 seam"], byName["S3(fused)"]
+	if seam.EndCycles == 0 || seam.StartCycles != s2.EndCycles || s3.StartCycles != seam.EndCycles {
+		t.Errorf("S2 ends at %g, the S2>S3 seam spans [%g,%g], S3 starts at %g: want them back to back",
+			s2.EndCycles, seam.StartCycles, seam.EndCycles, s3.StartCycles)
 	}
 }
 

@@ -529,7 +529,7 @@ func NewOpsHandler(s *Server, tr *Tracer) *OpsHandler {
 // picks only the inputs; the weights belong to the network): every
 // executed unit is recorded on tr as a KindUnit span carrying the unit's
 // device counters, with the simulated cycle axis laid out cumulatively in
-// network order. parentID and traceID link the unit spans under an
+// the plan's unit order (each seam between its two modules). parentID and traceID link the unit spans under an
 // existing span tree (0 for standalone roots); device names the simulated
 // device in the exported timeline.
 func RunNetworkTraced(profile Profile, net Network, seed int64, tr *Tracer,
